@@ -1,9 +1,11 @@
 // Microbenchmarks of the cryptographic substrates (google-benchmark).
 //
 // Not a paper table by itself, but the ingredients the paper's numbers
-// decompose into: field/curve arithmetic, pairing, the circuit-friendly
-// primitives (MiMC, Poseidon) vs the traditional hash (SHA-256), MSM and
-// NTT scaling.
+// decompose into: field/curve arithmetic, the pairing and its parts
+// (Fp12 tower arithmetic, G2 subgroup check, line preparation, Miller
+// loop prepared and unprepared, final exponentiation, the verifier's
+// 2-pair product), the circuit-friendly primitives (MiMC, Poseidon) vs
+// the traditional hash (SHA-256), MSM and NTT scaling.
 //
 // Extra mode: `--msm-sweep[=quick]` skips google-benchmark and runs the
 // old-vs-new MSM comparison (Jacobian-bucket baseline vs signed-digit
@@ -19,6 +21,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "check/invariants.hpp"
 #include "crypto/mimc.hpp"
 #include "crypto/poseidon.hpp"
 #include "crypto/rng.hpp"
@@ -56,17 +59,43 @@ void BM_FrInverse(benchmark::State& state) {
 }
 BENCHMARK(BM_FrInverse);
 
+ff::Fp12 random_fp12() {
+  const auto fp2 = [] {
+    return ff::Fp2{ff::random_field<ff::Fp>(rng()), ff::random_field<ff::Fp>(rng())};
+  };
+  return ff::Fp12{ff::Fp6{fp2(), fp2(), fp2()}, ff::Fp6{fp2(), fp2(), fp2()}};
+}
+
 void BM_Fp12Mul(benchmark::State& state) {
-  ff::Fp12 a;
-  for (auto& c : a.c) c = ff::Fp2{ff::random_field<ff::Fp>(rng()),
-                                  ff::random_field<ff::Fp>(rng())};
-  ff::Fp12 b = a;
+  ff::Fp12 a = random_fp12();
+  const ff::Fp12 b = random_fp12();
   for (auto _ : state) {
     a *= b;
     benchmark::DoNotOptimize(a);
   }
 }
 BENCHMARK(BM_Fp12Mul);
+
+void BM_Fp12Square(benchmark::State& state) {
+  ff::Fp12 a = random_fp12();
+  for (auto _ : state) {
+    a = a.square();
+    benchmark::DoNotOptimize(a);
+  }
+}
+BENCHMARK(BM_Fp12Square);
+
+void BM_Fp12CyclotomicSquare(benchmark::State& state) {
+  // An element of the cyclotomic subgroup (the pairing's easy part).
+  const ff::Fp12 f = random_fp12();
+  ff::Fp12 a = f.conjugate() * f.inverse();
+  a = a.frobenius(2) * a;
+  for (auto _ : state) {
+    a = a.cyclotomic_square();
+    benchmark::DoNotOptimize(a);
+  }
+}
+BENCHMARK(BM_Fp12CyclotomicSquare);
 
 void BM_G1Add(benchmark::State& state) {
   ec::G1 p = ec::G1::generator().mul(rng().random_fr());
@@ -87,6 +116,14 @@ void BM_G1ScalarMul(benchmark::State& state) {
 }
 BENCHMARK(BM_G1ScalarMul);
 
+void BM_G2SubgroupCheck(benchmark::State& state) {
+  const ec::G2 q = ec::G2::generator().mul(rng().random_fr());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(check::in_g2_subgroup(q));
+  }
+}
+BENCHMARK(BM_G2SubgroupCheck);
+
 void BM_Pairing(benchmark::State& state) {
   const ec::G1 p = ec::G1::generator().mul(rng().random_fr());
   const ec::G2 q = ec::G2::generator().mul(rng().random_fr());
@@ -96,6 +133,7 @@ void BM_Pairing(benchmark::State& state) {
 }
 BENCHMARK(BM_Pairing);
 
+// Unprepared: validates Q and computes its lines on every call.
 void BM_MillerLoop(benchmark::State& state) {
   const ec::G1 p = ec::G1::generator().mul(rng().random_fr());
   const ec::G2 q = ec::G2::generator().mul(rng().random_fr());
@@ -104,6 +142,46 @@ void BM_MillerLoop(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MillerLoop);
+
+void BM_G2Prepare(benchmark::State& state) {
+  const ec::G2 q = ec::G2::generator().mul(rng().random_fr());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ec::G2Prepared(q));
+  }
+}
+BENCHMARK(BM_G2Prepare);
+
+void BM_MillerLoopPrepared(benchmark::State& state) {
+  const ec::G1 p = ec::G1::generator().mul(rng().random_fr());
+  const ec::G2Prepared q(ec::G2::generator().mul(rng().random_fr()));
+  const ec::PreparedPair pair[1] = {{p, &q}};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ec::miller_loop(pair));
+  }
+}
+BENCHMARK(BM_MillerLoopPrepared);
+
+void BM_FinalExponentiation(benchmark::State& state) {
+  const ff::Fp12 f = random_fp12();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ec::final_exponentiation(f));
+  }
+}
+BENCHMARK(BM_FinalExponentiation);
+
+// The verifier's pairing check: e(L, [tau]_2) e(-R, [1]_2) == 1 over
+// prepared G2 points (one shared Miller loop, one final exponentiation).
+void BM_PairingProduct2Prepared(benchmark::State& state) {
+  const ec::G2Prepared g2_tau(ec::G2::generator().mul(rng().random_fr()));
+  const ec::G2Prepared g2_gen(ec::G2::generator());
+  const ec::G1 l = ec::G1::generator().mul(rng().random_fr());
+  const ec::G1 r = ec::G1::generator().mul(rng().random_fr());
+  const ec::PreparedPair terms[2] = {{l, &g2_tau}, {-r, &g2_gen}};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ec::pairing_product_is_one(terms));
+  }
+}
+BENCHMARK(BM_PairingProduct2Prepared);
 
 void BM_Msm(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));

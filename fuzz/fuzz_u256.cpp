@@ -1,4 +1,5 @@
-// Fuzz target: u256 / bigint parsing and arithmetic round-trips.
+// Fuzz target: u256 parsing, field arithmetic and the test oracles'
+// bigint round-trips.
 //
 // The parsers are the first line of defense for every externally
 // supplied scalar (proof bytes, decimal constants); this harness feeds
@@ -11,11 +12,13 @@
 #include <stdexcept>
 #include <string>
 
-#include "ff/bigint.hpp"
 #include "ff/bn254.hpp"
 #include "ff/u256.hpp"
+#include "oracles/bigint.hpp"
 
 using namespace zkdet::ff;
+using zkdet::oracle::BigUInt;
+using zkdet::oracle::bigint_div_u256;
 
 namespace {
 

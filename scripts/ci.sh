@@ -30,8 +30,9 @@
 # Usage: scripts/ci.sh [--quick] [--skip-tsan]
 #   --quick      lint + analysis + tier-1 + bench smokes (MSM sweep,
 #                chain pipeline, replication, RPC) + a disjoint failover
-#                matrix slice (pre-push sanity; minutes, not hours;
-#                analysis is compile-only so it stays in quick)
+#                matrix slice + the e2ebench smoke test (pre-push sanity;
+#                minutes, not hours; analysis is compile-only so it
+#                stays in quick)
 #   --skip-tsan  everything except the TSan stage (it is the slowest)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -108,6 +109,10 @@ if [[ "$QUICK" == "1" ]]; then
   # response, the queue depth bound is exceeded, or p99 blows its budget.
   cmake --build build -j --target bench_rpc
   ./build/bench/bench_rpc --quick
+  echo "=== e2e: end-to-end benchmark smoke test ==="
+  # Builds zkdet_e2e from source and runs every workload briefly,
+  # including a forced gate failure that must be reported as such.
+  python3 e2ebench/smoke_test.py
   echo "=== quick mode: remaining stages skipped ==="
   echo "=== CI OK (quick) ==="
   exit 0
@@ -171,12 +176,13 @@ fi
 echo "=== fuzz: 10s smoke per target ==="
 cmake -B build-fuzz -S . -DZKDET_FUZZ=ON
 cmake --build build-fuzz -j --target zkdet_fuzz_u256 --target zkdet_fuzz_transcript \
-  --target zkdet_fuzz_wal
+  --target zkdet_fuzz_wal --target zkdet_fuzz_rpc_wire
 # ZKDET_FUZZ_SECONDS drives the GCC standalone driver; -max_total_time
 # drives Clang/libFuzzer builds (the standalone driver ignores dash-args).
 FUZZ_SECS="${ZKDET_FUZZ_SECONDS:-10}"
 ZKDET_FUZZ_SECONDS="$FUZZ_SECS" ./build-fuzz/fuzz/zkdet_fuzz_u256 "-max_total_time=$FUZZ_SECS"
 ZKDET_FUZZ_SECONDS="$FUZZ_SECS" ./build-fuzz/fuzz/zkdet_fuzz_transcript "-max_total_time=$FUZZ_SECS"
 ZKDET_FUZZ_SECONDS="$FUZZ_SECS" ./build-fuzz/fuzz/zkdet_fuzz_wal "-max_total_time=$FUZZ_SECS"
+ZKDET_FUZZ_SECONDS="$FUZZ_SECS" ./build-fuzz/fuzz/zkdet_fuzz_rpc_wire "-max_total_time=$FUZZ_SECS"
 
 echo "=== CI OK ==="

@@ -12,7 +12,11 @@ constexpr std::size_t kVerifierCodeSize = 7960;
 
 PlonkVerifierContract::PlonkVerifierContract(plonk::VerifyingKey vk,
                                              std::string label)
-    : Contract(std::move(label), kVerifierCodeSize), vk_(std::move(vk)) {}
+    : Contract(std::move(label), kVerifierCodeSize), vk_(std::move(vk)) {
+  // The key is fixed for the contract's lifetime: validate and prepare
+  // its G2 points once, not per verification.
+  plonk::prepare_g2(vk_);
+}
 
 bool PlonkVerifierContract::verify(CallContext& ctx,
                                    const std::vector<Fr>& public_inputs,

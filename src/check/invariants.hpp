@@ -8,7 +8,7 @@
 // Cost guide:
 //   canonical / tower checks    O(1) limb compares      -> any tier
 //   on-curve                    a handful of field muls -> any tier
-//   G2 subgroup (mul by r)      ~1 scalar mul           -> guards pairings
+//   G2 subgroup (psi vs 6x^2)   one 127-bit scalar mul  -> guards pairings
 //   permutation audit           O(n) with a seen-bitmap -> ZKDET_ASSERT
 #pragma once
 
@@ -38,13 +38,13 @@ template <typename Params>
   return is_canonical(x.a) && is_canonical(x.b);
 }
 
-// Tower consistency: an Fp12 is sound iff all six Fp2 coefficients are,
-// i.e. all twelve underlying Fp limbs sit in canonical range.
+// Tower consistency: an Fp12 is sound iff both Fp6 halves, hence all six
+// Fp2 coefficients and all twelve underlying Fp limbs, are canonical.
+[[nodiscard]] inline bool is_canonical(const ff::Fp6& x) {
+  return is_canonical(x.c0) && is_canonical(x.c1) && is_canonical(x.c2);
+}
 [[nodiscard]] inline bool is_canonical(const ff::Fp12& x) {
-  for (const ff::Fp2& ci : x.c) {
-    if (!is_canonical(ci)) return false;
-  }
-  return true;
+  return is_canonical(x.c0) && is_canonical(x.c1);
 }
 
 template <typename F>
@@ -63,10 +63,17 @@ template <typename F>
 
 // E'(Fp2) has a large cofactor; a point can sit on the twist yet outside
 // the order-r subgroup, which breaks pairing bilinearity. Full check:
-// on-curve plus annihilation by r.
+// on-curve plus subgroup membership. For a point on the BN-254 twist,
+// membership is equivalent to psi(Q) == [6x^2]Q (El Housni, Guillevic,
+// Piellard 2022): psi acts as [p] on G2 and p == 6x^2 (mod r). The scalar
+// has 127 bits, half the length of r.
 [[nodiscard]] inline bool on_g2_curve(const ec::G2& p) { return p.on_curve(); }
 [[nodiscard]] inline bool in_g2_subgroup(const ec::G2& p) {
-  return p.mul(ff::Fr::MOD).is_identity();
+  constexpr unsigned __int128 k =
+      static_cast<unsigned __int128>(ff::kBnX) * ff::kBnX * 6;  // < 2^127
+  const ff::U256 six_x_sq{static_cast<std::uint64_t>(k),
+                          static_cast<std::uint64_t>(k >> 64), 0, 0};
+  return ec::g2_psi(p) == p.mul(six_x_sq);
 }
 [[nodiscard]] inline bool in_g2(const ec::G2& p) {
   return p.on_curve() && in_g2_subgroup(p);

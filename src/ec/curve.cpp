@@ -2,6 +2,9 @@
 
 #include <algorithm>
 
+#include "check/invariants.hpp"
+#include "ff/fp12.hpp"
+
 namespace zkdet::ec {
 
 using ff::Fp;
@@ -40,6 +43,13 @@ const Fp2& G2Traits::gen_y() {
       Fp::from_dec("4082367875863433681332203403145435568316851327593401208105"
                    "741076214120093531")};
   return v;
+}
+
+G2 g2_psi(const G2& q) {
+  // Frobenius commutes with the Jacobian quotients, so it can be applied
+  // to X, Y, Z directly; the coefficients are those of w^2 and w^3.
+  return G2{q.X.conjugate() * ff::frobenius_coeff(1, 2),
+            q.Y.conjugate() * ff::frobenius_coeff(1, 3), q.Z.conjugate()};
 }
 
 std::vector<std::uint8_t> g1_to_bytes(const G1& p) {
@@ -97,7 +107,7 @@ std::optional<G2> g2_from_bytes(std::span<const std::uint8_t> bytes) {
   if (!p.on_curve()) return std::nullopt;
   // The twist has a large cofactor: on-curve alone admits points outside
   // the order-r subgroup, which would break pairing soundness downstream.
-  if (!p.mul(ff::Fr::MOD).is_identity()) return std::nullopt;
+  if (!check::in_g2_subgroup(p)) return std::nullopt;
   return p;
 }
 

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "check/check.hpp"
+#include "ff/batch_inverse.hpp"
 #include "ff/bn254.hpp"
 #include "ff/fp2.hpp"
 
@@ -313,30 +314,20 @@ struct AffinePoint {
 };
 
 // Batch Jacobian -> affine normalization: one field inversion for the
-// whole vector via Montgomery's prefix-product trick (mirrors
-// plonk.cpp's batch_inverse). Identity inputs map to affine identity.
+// whole vector (ff::batch_inverse). Identity inputs map to affine identity.
 template <typename Traits>
 std::vector<AffinePoint<Traits>> batch_normalize_impl(
     std::span<const Point<Traits>> points) {
   using F = typename Traits::Field;
-  const std::size_t n = points.size();
-  std::vector<AffinePoint<Traits>> out(n);
-  // prefix[k] = product of the first k non-identity Z coordinates.
-  std::vector<F> prefix;
-  prefix.reserve(n + 1);
-  prefix.push_back(F::one());
-  for (const auto& p : points) {
-    if (!p.is_identity()) prefix.push_back(prefix.back() * p.Z);
-  }
-  F inv = prefix.back().inverse();
-  std::size_t j = prefix.size() - 1;
-  for (std::size_t i = n; i-- > 0;) {
-    const auto& p = points[i];
-    if (p.is_identity()) continue;
-    const F zinv = prefix[--j] * inv;
-    inv *= p.Z;
-    const F zinv2 = zinv.square();
-    out[i] = AffinePoint<Traits>{p.X * zinv2, p.Y * zinv2 * zinv};
+  std::vector<F> zinv(points.size());
+  for (std::size_t i = 0; i < points.size(); ++i) zinv[i] = points[i].Z;
+  ff::batch_inverse(std::span<F>(zinv));  // identity Z == 0 stays 0
+  std::vector<AffinePoint<Traits>> out(points.size());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    if (points[i].is_identity()) continue;
+    const F zinv2 = zinv[i].square();
+    out[i] = AffinePoint<Traits>{points[i].X * zinv2,
+                                 points[i].Y * zinv2 * zinv[i]};
   }
   return out;
 }
@@ -359,6 +350,11 @@ using G1 = Point<G1Traits>;
 using G2 = Point<G2Traits>;
 using G1Affine = AffinePoint<G1Traits>;
 using G2Affine = AffinePoint<G2Traits>;
+
+// The untwist-Frobenius-twist endomorphism psi(x, y) = (conj(x) xi^((p-1)/3),
+// conj(y) xi^((p-1)/2)) of E'(Fp2). On G2 it acts as multiplication by
+// p == 6x^2 (mod r).
+G2 g2_psi(const G2& q);
 
 inline std::vector<G1Affine> batch_normalize(std::span<const G1> points) {
   return batch_normalize_impl<G1Traits>(points);

@@ -28,6 +28,12 @@ struct BnScalarParams {
 using Fp = Fp_<BnBaseParams>;
 using Fr = Fp_<BnScalarParams>;
 
+// The BN curve parameter x: p = 36x^4 + 36x^3 + 24x^2 + 6x + 1 and
+// r = 36x^4 + 36x^3 + 18x^2 + 6x + 1. The optimal ate Miller loop runs
+// over 6x + 2 and the final exponentiation's hard part is a chain of
+// exponentiations by x.
+inline constexpr std::uint64_t kBnX = 4965661367192848881ull;
+
 // Samples a uniform field element by rejection from 256-bit draws.
 template <typename F, typename Rng>
 F random_field(Rng& rng) {

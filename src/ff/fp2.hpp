@@ -47,6 +47,17 @@ struct Fp2 {
 
   [[nodiscard]] Fp2 scale(const Fp& s) const { return {a * s, b * s}; }
 
+  // Multiplication by xi = 9 + u (fp2_xi below) with additions only:
+  // (a + bu)(9 + u) = (9a - b) + (a + 9b)u.
+  [[nodiscard]] Fp2 mul_by_xi() const {
+    const auto nine = [](const Fp& x) {
+      const Fp x2 = x + x;
+      const Fp x4 = x2 + x2;
+      return x4 + x4 + x;
+    };
+    return {nine(a) - b, nine(b) + a};
+  }
+
   [[nodiscard]] Fp2 conjugate() const { return {a, -b}; }
 
   // (a + bu)^-1 = (a - bu) / (a^2 + b^2); inverse of zero is zero.
@@ -70,7 +81,7 @@ struct Fp2 {
   [[nodiscard]] Fp2 frobenius() const { return conjugate(); }
 };
 
-// The sextic non-residue xi = 9 + u used for the Fp12 tower and the
+// The sextic non-residue xi = 9 + u used for the Fp6/Fp12 tower and the
 // D-type twist E': y^2 = x^3 + 3/xi.
 inline const Fp2& fp2_xi() {
   static const Fp2 xi{Fp::from_u64(9), Fp::from_u64(1)};

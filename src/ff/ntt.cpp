@@ -2,6 +2,7 @@
 
 #include "check/check.hpp"
 #include "check/invariants.hpp"
+#include "ff/batch_inverse.hpp"
 
 #include <algorithm>
 #include <stdexcept>
@@ -23,6 +24,16 @@ void check_two_adic_root() {
   (void)ok;
 }
 
+Fr EvaluationDomain::root_of_unity(std::size_t size) {
+  ZKDET_CHECK(check::valid_ntt_domain(size), "no radix-2 domain of size ", size);
+  static const Fr root = Fr::two_adic_root();  // order 2^TWO_ADICITY
+  Fr omega = root;
+  for (std::size_t s = size; s < (std::size_t{1} << Fr::TWO_ADICITY); s <<= 1) {
+    omega = omega.square();
+  }
+  return omega;
+}
+
 EvaluationDomain::EvaluationDomain(std::size_t size) : size_(size) {
   if (size == 0 || (size & (size - 1)) != 0) {
     throw std::invalid_argument("domain size must be a power of two");
@@ -35,10 +46,7 @@ EvaluationDomain::EvaluationDomain(std::size_t size) : size_(size) {
   }
   ZKDET_DCHECK(check::valid_ntt_domain(size),
                "domain precondition checker disagrees with constructor");
-  omega_ = Fr::two_adic_root();
-  for (std::size_t i = log_size_; i < Fr::TWO_ADICITY; ++i) {
-    omega_ = omega_.square();
-  }
+  omega_ = root_of_unity(size_);
   omega_inv_ = omega_.inverse();
   size_inv_ = Fr::from_u64(size_).inverse();
   powers_.resize(size_);
@@ -175,21 +183,13 @@ Fr EvaluationDomain::lagrange_at(std::size_t i, const Fr& x) const {
 }
 
 std::vector<Fr> EvaluationDomain::all_lagrange_at(const Fr& x) const {
-  // Batch-invert the denominators with Montgomery's trick.
+  // L_i(x) = w^i Z_H(x) / (n (x - w^i)), denominators batch-inverted.
   const Fr zh = vanishing_at(x);
-  std::vector<Fr> dens(size_);
   const Fr n = Fr::from_u64(size_);
-  for (std::size_t i = 0; i < size_; ++i) dens[i] = n * (x - powers_[i]);
-  // prefix products
-  std::vector<Fr> prefix(size_ + 1);
-  prefix[0] = Fr::one();
-  for (std::size_t i = 0; i < size_; ++i) prefix[i + 1] = prefix[i] * dens[i];
-  Fr inv_all = prefix[size_].inverse();
   std::vector<Fr> out(size_);
-  for (std::size_t i = size_; i-- > 0;) {
-    out[i] = powers_[i] * zh * prefix[i] * inv_all;
-    inv_all *= dens[i];
-  }
+  for (std::size_t i = 0; i < size_; ++i) out[i] = n * (x - powers_[i]);
+  batch_inverse(std::span<Fr>(out));
+  for (std::size_t i = 0; i < size_; ++i) out[i] *= powers_[i] * zh;
   return out;
 }
 

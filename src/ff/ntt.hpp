@@ -19,6 +19,10 @@ class EvaluationDomain {
   // size must be a power of two, 1 <= size <= 2^28.
   explicit EvaluationDomain(std::size_t size);
 
+  // The domain generator omega for `size` (a power of two <= 2^28),
+  // without building the domain's table of powers.
+  [[nodiscard]] static Fr root_of_unity(std::size_t size);
+
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] const Fr& omega() const { return omega_; }
   [[nodiscard]] const Fr& omega_inv() const { return omega_inv_; }

@@ -1,12 +1,15 @@
 #include "plonk/plonk.hpp"
 
+#include <algorithm>
 #include <array>
 #include <functional>
 
 #include "check/check.hpp"
 #include "check/invariants.hpp"
 
+#include "ec/msm.hpp"
 #include "ec/pairing.hpp"
+#include "ff/batch_inverse.hpp"
 #include "runtime/stats.hpp"
 #include "runtime/thread_pool.hpp"
 
@@ -52,20 +55,6 @@ Layout build_layout(const ConstraintSystem& cs, std::size_t n) {
     l.wc[row] = gates[i].c;
   }
   return l;
-}
-
-// Batch inversion (Montgomery's trick); zero entries are not allowed.
-std::vector<Fr> batch_inverse(const std::vector<Fr>& xs) {
-  std::vector<Fr> prefix(xs.size() + 1);
-  prefix[0] = Fr::one();
-  for (std::size_t i = 0; i < xs.size(); ++i) prefix[i + 1] = prefix[i] * xs[i];
-  Fr inv = prefix[xs.size()].inverse();
-  std::vector<Fr> out(xs.size());
-  for (std::size_t i = xs.size(); i-- > 0;) {
-    out[i] = prefix[i] * inv;
-    inv *= xs[i];
-  }
-  return out;
 }
 
 }  // namespace
@@ -237,6 +226,7 @@ std::optional<KeyPairResult> preprocess(const ConstraintSystem& cs,
   }
   vk.g2_gen = srs.g2_gen;
   vk.g2_tau = srs.g2_tau;
+  prepare_g2(vk);
   pk.vk = vk;
 
   return KeyPairResult{std::move(pk), std::move(vk)};
@@ -328,7 +318,8 @@ std::optional<Proof> prove(const ProvingKey& pk, const ConstraintSystem& cs,
                   (wc[i] + beta * pk.s3_evals[i] + gamma);
     }
   });
-  const std::vector<Fr> dinv = batch_inverse(denoms);
+  ff::batch_inverse(std::span<Fr>(denoms));
+  const std::vector<Fr>& dinv = denoms;  // inverted in place
   std::vector<Fr> z_evals(n);
   z_evals[0] = Fr::one();
   for (std::size_t i = 0; i + 1 < n; ++i) {
@@ -401,7 +392,8 @@ std::optional<Proof> prove(const ProvingKey& pk, const ConstraintSystem& cs,
       vals[j] = shift_n * cur - Fr::one();
       cur *= w8n;
     }
-    zh_inv_cycle = batch_inverse(vals);
+    ff::batch_inverse(std::span<Fr>(vals));
+    zh_inv_cycle = std::move(vals);
   }
 
   std::vector<Fr> t_ext(m);
@@ -553,11 +545,43 @@ std::optional<Proof> prove(const ProvingKey& pk, const ConstraintSystem& cs,
   return proof;
 }
 
-std::optional<PairingCheck> verify_prepare(
+namespace {
+
+// Prepares (and thereby validates) both SRS G2 points; nullptr if either
+// is not in G2.
+std::shared_ptr<const PreparedG2Pair> prepare_pair(const G2& gen,
+                                                   const G2& tau) {
+  auto g = ec::G2Prepared::try_prepare(gen);
+  if (!g) return nullptr;
+  auto t = ec::G2Prepared::try_prepare(tau);
+  if (!t) return nullptr;
+  return std::make_shared<const PreparedG2Pair>(
+      PreparedG2Pair{std::move(*g), std::move(*t)});
+}
+
+// The key's prepared pair when it is current, else a fresh one. A
+// verifying key with G2 elements off the twist or outside the order-r
+// subgroup cannot anchor a sound pairing check: nullptr.
+std::shared_ptr<const PreparedG2Pair> usable_g2(const VerifyingKey& vk) {
+  if (vk.g2_prepared && vk.g2_prepared->matches(vk.g2_gen, vk.g2_tau)) {
+    return vk.g2_prepared;
+  }
+  return prepare_pair(vk.g2_gen, vk.g2_tau);
+}
+
+// e(lhs, [tau]_2) * e(-rhs, [1]_2) == 1
+bool pairing_holds(const PairingCheck& c, const PreparedG2Pair& g2) {
+  const ec::PreparedPair terms[2] = {{c.lhs, &g2.tau}, {-c.rhs, &g2.gen}};
+  return ec::pairing_product_is_one(terms);
+}
+
+// verify_prepare minus the G2 validation (the caller owns that).
+std::optional<PairingCheck> reduce_to_pairing(
     const VerifyingKey& vk, const std::vector<Fr>& public_inputs,
     const Proof& proof) {
   if (public_inputs.size() != vk.ell) return std::nullopt;
   const std::size_t n = vk.n;
+  if (!check::valid_ntt_domain(n)) return std::nullopt;
 
   // Commitments must be on the curve (cheap structural validation; G1
   // has cofactor 1, so on-curve is the full subgroup check).
@@ -565,11 +589,6 @@ std::optional<PairingCheck> verify_prepare(
                       &proof.cm_t_lo, &proof.cm_t_mid, &proof.cm_t_hi,
                       &proof.w_zeta, &proof.w_zeta_omega}) {
     if (!check::in_g1(*p)) return std::nullopt;
-  }
-  // A verifying key with G2 elements off the twist or outside the
-  // order-r subgroup cannot anchor a sound pairing check.
-  if (!check::in_g2(vk.g2_gen) || !check::in_g2(vk.g2_tau)) {
-    return std::nullopt;
   }
 
   Transcript transcript("zkdet-plonk");
@@ -600,24 +619,27 @@ std::optional<PairingCheck> verify_prepare(
   const Fr zeta_n = zeta.pow(U256{n});
   const Fr zh_zeta = zeta_n - Fr::one();
   if (zh_zeta.is_zero()) return std::nullopt;  // zeta in H: reject (negligible)
-  const Fr l1_zeta =
-      zh_zeta * (Fr::from_u64(n) * (zeta - Fr::one())).inverse();
 
-  // PI(zeta) = sum_i -x_i * L_i(zeta) — O(ell) field work with a single
-  // batched inversion.
+  // L_i(zeta) = w^i Z_H(zeta) / (n (zeta - w^i)) for i < max(ell, 1):
+  // L_0 for the grand-product boundary and L_0..L_{ell-1} for
+  // PI(zeta) = sum_i -x_i L_i(zeta). One batched inversion, no domain.
+  const Fr omega = EvaluationDomain::root_of_unity(n);
+  const Fr n_fr = Fr::from_u64(n);
+  const std::size_t terms = std::max<std::size_t>(public_inputs.size(), 1);
+  std::vector<Fr> omega_i(terms);
+  std::vector<Fr> lagrange(terms);
+  Fr w = Fr::one();
+  for (std::size_t i = 0; i < terms; ++i) {
+    omega_i[i] = w;
+    lagrange[i] = n_fr * (zeta - w);
+    w *= omega;
+  }
+  ff::batch_inverse(std::span<Fr>(lagrange));
+  for (std::size_t i = 0; i < terms; ++i) lagrange[i] *= omega_i[i] * zh_zeta;
+  const Fr l1_zeta = lagrange[0];
   Fr pi_zeta = Fr::zero();
-  if (!public_inputs.empty()) {
-    // L_i(zeta) = w^i * Z_H(zeta) / (n (zeta - w^i))
-    EvaluationDomain dom(n);
-    const Fr n_inv = Fr::from_u64(n).inverse();
-    std::vector<Fr> dens(public_inputs.size());
-    for (std::size_t i = 0; i < public_inputs.size(); ++i) {
-      dens[i] = zeta - dom.element(i);
-    }
-    const std::vector<Fr> inv = batch_inverse(dens);
-    for (std::size_t i = 0; i < public_inputs.size(); ++i) {
-      pi_zeta -= public_inputs[i] * dom.element(i) * zh_zeta * n_inv * inv[i];
-    }
+  for (std::size_t i = 0; i < public_inputs.size(); ++i) {
+    pi_zeta -= public_inputs[i] * lagrange[i];
   }
 
   const Fr alpha2 = alpha * alpha;
@@ -630,48 +652,70 @@ std::optional<PairingCheck> verify_prepare(
                      (proof.eval_b + beta * vk.k1 * zeta + gamma) *
                      (proof.eval_c + beta * vk.k2 * zeta + gamma);
 
-  G1 d = vk.cm_qm.mul(proof.eval_a * proof.eval_b);
-  d += vk.cm_ql.mul(proof.eval_a);
-  d += vk.cm_qr.mul(proof.eval_b);
-  d += vk.cm_qo.mul(proof.eval_c);
-  d += vk.cm_qc;
-  d += proof.cm_z.mul(alpha * id_prod + alpha2 * l1_zeta + u);
-  d = d - vk.cm_s3.mul(alpha * beta * sig_ab * proof.eval_z_omega);
-  d = d - (proof.cm_t_lo + proof.cm_t_mid.mul(zeta_n) +
-           proof.cm_t_hi.mul(zeta_n * zeta_n))
-              .mul(zh_zeta);
-
-  G1 f = d;
-  const G1* cms[5] = {&proof.cm_a, &proof.cm_b, &proof.cm_c, &vk.cm_s1,
-                      &vk.cm_s2};
-  const Fr evals[5] = {proof.eval_a, proof.eval_b, proof.eval_c, proof.eval_s1,
-                       proof.eval_s2};
-  Fr vpow = v;
-  Fr e_scalar = -r0;
-  for (int i = 0; i < 5; ++i) {
-    f += cms[i]->mul(vpow);
-    e_scalar += vpow * evals[i];
-    vpow *= v;
-  }
-  e_scalar += u * proof.eval_z_omega;
-  const G1 e = G1::generator().mul(e_scalar);
-
-  EvaluationDomain dom(n);
-  const Fr omega = dom.omega();
+  // Batched opening at zeta of the linearisation D and the five
+  // evaluated commitments (weights v..v^5), the shift opening at
+  // zeta*omega, and E = [e]_1 for the claimed evaluations:
+  //   rhs = zeta W + u zeta omega W' + D + sum_k v^k cm_k - E
+  // as ONE 18-term MSM.
+  const Fr v2 = v * v;
+  const Fr v3 = v2 * v;
+  const Fr v4 = v3 * v;
+  const Fr v5 = v4 * v;
+  const Fr e_scalar = -r0 + v * proof.eval_a + v2 * proof.eval_b +
+                      v3 * proof.eval_c + v4 * proof.eval_s1 +
+                      v5 * proof.eval_s2 + u * proof.eval_z_omega;
+  const Fr zh_neg = -zh_zeta;
+  const std::array<Fr, 18> scalars = {
+      proof.eval_a * proof.eval_b,
+      proof.eval_a,
+      proof.eval_b,
+      proof.eval_c,
+      Fr::one(),
+      alpha * id_prod + alpha2 * l1_zeta + u,
+      -(alpha * beta * sig_ab * proof.eval_z_omega),
+      zh_neg,
+      zh_neg * zeta_n,
+      zh_neg * zeta_n * zeta_n,
+      v,
+      v2,
+      v3,
+      v4,
+      v5,
+      -e_scalar,
+      zeta,
+      u * zeta * omega,
+  };
+  const std::array<G1, 18> points = {
+      vk.cm_qm,      vk.cm_ql,       vk.cm_qr,       vk.cm_qo,
+      vk.cm_qc,      proof.cm_z,     vk.cm_s3,       proof.cm_t_lo,
+      proof.cm_t_mid, proof.cm_t_hi, proof.cm_a,     proof.cm_b,
+      proof.cm_c,    vk.cm_s1,       vk.cm_s2,       G1::generator(),
+      proof.w_zeta,  proof.w_zeta_omega,
+  };
   PairingCheck check;
   check.lhs = proof.w_zeta + proof.w_zeta_omega.mul(u);
-  check.rhs = proof.w_zeta.mul(zeta) +
-              proof.w_zeta_omega.mul(u * zeta * omega) + f - e;
+  check.rhs = ec::msm(scalars, points);
   return check;
+}
+
+}  // namespace
+
+void prepare_g2(VerifyingKey& vk) { vk.g2_prepared = usable_g2(vk); }
+
+std::optional<PairingCheck> verify_prepare(
+    const VerifyingKey& vk, const std::vector<Fr>& public_inputs,
+    const Proof& proof) {
+  if (!usable_g2(vk)) return std::nullopt;
+  return reduce_to_pairing(vk, public_inputs, proof);
 }
 
 bool verify(const VerifyingKey& vk, const std::vector<Fr>& public_inputs,
             const Proof& proof) {
   runtime::ScopedTimer verify_timer(runtime::counters::verify_ns);
-  const auto check = verify_prepare(vk, public_inputs, proof);
-  if (!check) return false;
-  return ec::pairing_product_is_one(check->lhs, vk.g2_tau, -check->rhs,
-                                    vk.g2_gen);
+  const auto g2 = usable_g2(vk);
+  if (!g2) return false;
+  const auto check = reduce_to_pairing(vk, public_inputs, proof);
+  return check && pairing_holds(*check, *g2);
 }
 
 bool BatchResult::all_ok() const {
@@ -699,12 +743,12 @@ namespace {
 bool fold_check(std::span<const BatchEntry> entries,
                 std::span<const std::optional<PairingCheck>> checks,
                 std::span<const std::size_t> idx) {
-  const VerifyingKey& vk0 = *entries[idx.front()].vk;
+  const auto g2 = usable_g2(*entries[idx.front()].vk);
+  if (!g2) return false;
   if (idx.size() == 1) {
     // Degenerate fold: run exactly the pairing check verify() runs, so
     // a batch of one is outcome-identical to individual verification.
-    const PairingCheck& c = *checks[idx.front()];
-    return ec::pairing_product_is_one(c.lhs, vk0.g2_tau, -c.rhs, vk0.g2_gen);
+    return pairing_holds(*checks[idx.front()], *g2);
   }
   Transcript t("zkdet-batch-verify");
   t.absorb_u64(idx.size());
@@ -714,14 +758,13 @@ bool fold_check(std::span<const BatchEntry> entries,
     for (const Fr& x : *entries[i].public_inputs) t.absorb_fr(x);
     t.absorb_bytes(entries[i].proof->to_bytes());
   }
-  G1 lhs = G1::identity();
-  G1 rhs = G1::identity();
+  PairingCheck folded{G1::identity(), G1::identity()};
   for (const std::size_t i : idx) {
     const Fr r = t.challenge("batch-r");
-    lhs += checks[i]->lhs.mul(r);
-    rhs += checks[i]->rhs.mul(r);
+    folded.lhs += checks[i]->lhs.mul(r);
+    folded.rhs += checks[i]->rhs.mul(r);
   }
-  return ec::pairing_product_is_one(lhs, vk0.g2_tau, -rhs, vk0.g2_gen);
+  return pairing_holds(folded, *g2);
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include <memory>
 #include <optional>
 
+#include "ec/pairing.hpp"
 #include "plonk/constraint_system.hpp"
 #include "plonk/srs.hpp"
 #include "plonk/transcript.hpp"
@@ -44,6 +45,17 @@ struct Proof {
       std::span<const std::uint8_t> bytes);
 };
 
+// [1]_2 and [tau]_2 with their Miller-loop lines precomputed; building it
+// validates both points (ec::G2Prepared).
+struct PreparedG2Pair {
+  ec::G2Prepared gen, tau;
+
+  // True iff the lines were computed from exactly these points.
+  [[nodiscard]] bool matches(const G2& g2_gen, const G2& g2_tau) const {
+    return gen.point() == g2_gen && tau.point() == g2_tau;
+  }
+};
+
 struct VerifyingKey {
   std::size_t n = 0;    // domain size
   std::size_t ell = 0;  // number of public inputs
@@ -51,9 +63,19 @@ struct VerifyingKey {
   G1 cm_qm, cm_ql, cm_qr, cm_qo, cm_qc;
   G1 cm_s1, cm_s2, cm_s3;
   G2 g2_gen, g2_tau;
+  // Prepared once per key by preprocess() / prepare_g2(), shared by
+  // copies of the key. The verifier uses it only while matches(g2_gen,
+  // g2_tau) holds; a missing or stale pair is prepared (and validated)
+  // afresh on each call.
+  std::shared_ptr<const PreparedG2Pair> g2_prepared;
 
   void bind_transcript(Transcript& t) const;
 };
+
+// Prepares vk.g2_gen / vk.g2_tau into vk.g2_prepared unless the cached
+// pair is current. Leaves it null when either point is not in G2 (such a
+// key verifies nothing).
+void prepare_g2(VerifyingKey& vk);
 
 struct ProvingKey {
   std::size_t n = 0;

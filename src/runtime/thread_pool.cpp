@@ -42,8 +42,8 @@ struct ThreadPool::Impl {
 
   // Sleep/wake machinery: `pending` counts tasks sitting in any deque;
   // workers sleep on `cv` when it is zero. kPoolSleep sits above
-  // kPoolQueue in the lock order because pop() notifies under the
-  // queue lock (note_taken).
+  // kPoolQueue in the lock order because push() counts and pop()
+  // uncounts a task under its queue lock (note_taken).
   Mutex sleep_m{check::LockLevel::kPoolSleep, "pool.sleep"};
   CondVar cv;
   std::size_t pending ZKDET_GUARDED_BY(sleep_m) = 0;
@@ -55,11 +55,12 @@ struct ThreadPool::Impl {
     const std::size_t w =
         rr.fetch_add(1, std::memory_order_relaxed) % queues.size();
     {
+      // Count the task before it becomes visible: a worker pops (and
+      // decrements `pending`) under this queue lock, so bumping it here
+      // keeps the counter from missing a task taken in between.
       const MutexLock lk(queues[w]->m);
       queues[w]->tasks.push_back(std::move(task));
-    }
-    {
-      const MutexLock lk(sleep_m);
+      const MutexLock sleep_lk(sleep_m);
       ++pending;
     }
     cv.notify_one();
@@ -156,6 +157,12 @@ void ThreadPool::configure(std::size_t total_threads) {
 }
 
 bool ThreadPool::on_worker_thread() { return tl_worker_index >= 0; }
+
+std::size_t ThreadPool::pending_tasks() const {
+  if (impl_ == nullptr) return 0;
+  const MutexLock lk(impl_->sleep_m);
+  return impl_->pending;
+}
 
 void ThreadPool::submit(std::function<void()> task) {
   if (impl_ == nullptr) {

@@ -65,6 +65,10 @@ class ThreadPool {
   // some worker; completion is signalled by the caller's own future.
   void submit(std::function<void()> task);
 
+  // Tasks submitted but not yet taken by a worker; 0 whenever the pool
+  // is idle (idle workers sleep only while it is 0).
+  [[nodiscard]] std::size_t pending_tasks() const;
+
   // True when the current thread is one of the pool's workers. Used to
   // run would-be-blocking waits inline instead of deadlocking the pool.
   [[nodiscard]] static bool on_worker_thread();

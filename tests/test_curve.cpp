@@ -144,6 +144,10 @@ TEST(Pairing, BilinearInEachSlot) {
   const G1 p = g.mul(Fr::from_u64(3));
   const G1 q = g.mul(Fr::from_u64(8));
   EXPECT_EQ(pairing(p + q, h), pairing(p, h) * pairing(q, h));
+  // e(P, R+S) = e(P,R) e(P,S)
+  const G2 r = h.mul(Fr::from_u64(3));
+  const G2 s = h.mul(Fr::from_u64(8));
+  EXPECT_EQ(pairing(p, r + s), pairing(p, r) * pairing(p, s));
 }
 
 TEST(Pairing, NonDegenerate) {

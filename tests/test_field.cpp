@@ -4,10 +4,15 @@
 
 #include <random>
 
-#include "ff/bigint.hpp"
+#include "ff/batch_inverse.hpp"
+#include "ff/fp2.hpp"
+#include "oracles/bigint.hpp"
 
 namespace zkdet::ff {
 namespace {
+
+using oracle::BigUInt;
+using oracle::bigint_div_u256;
 
 TEST(Field, Identities) {
   EXPECT_TRUE(Fr::zero().is_zero());
@@ -211,6 +216,31 @@ TEST_P(FieldSeedSweep, MulInverseRandom) {
 
 INSTANTIATE_TEST_SUITE_P(Sweep, FieldSeedSweep,
                          ::testing::Values(11, 22, 33, 44, 55, 66, 77, 88));
+
+TEST(BatchInverse, MatchesElementwiseInverse) {
+  std::mt19937_64 rng(99);
+  for (const std::size_t n : {0u, 1u, 2u, 7u, 64u}) {
+    std::vector<Fr> xs(n);
+    for (auto& x : xs) x = random_field<Fr>(rng);
+    if (n > 2) xs[n / 2] = Fr::zero();  // zeros are skipped, stay zero
+    if (n > 0) xs[0] = Fr::zero();
+    std::vector<Fr> inv = xs;
+    batch_inverse(std::span<Fr>(inv));
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(inv[i], xs[i].inverse()) << "n=" << n << " i=" << i;
+    }
+  }
+}
+
+TEST(BatchInverse, WorksOverFp2) {
+  std::mt19937_64 rng(98);
+  std::vector<Fp2> xs(9);
+  for (auto& x : xs) x = Fp2{random_field<Fp>(rng), random_field<Fp>(rng)};
+  xs[4] = Fp2::zero();
+  std::vector<Fp2> inv = xs;
+  batch_inverse(std::span<Fp2>(inv));
+  for (std::size_t i = 0; i < xs.size(); ++i) EXPECT_EQ(inv[i], xs[i].inverse());
+}
 
 }  // namespace
 }  // namespace zkdet::ff

@@ -4,7 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <ctime>
 #include <future>
+#include <thread>
 #include <numeric>
 #include <vector>
 
@@ -59,6 +63,41 @@ TEST_F(RuntimeTest, ParallelForCoversRangeExactlyOnce) {
                             [](int h) { return h == 1; }))
         << "workers=" << workers;
   }
+}
+
+double process_cpu_seconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
+}
+
+// Regression: push() used to enqueue a task before counting it, so a
+// worker that took the task in between left `pending` one too high for
+// good and idle workers spun instead of sleeping.
+TEST_F(RuntimeTest, PendingDrainsToZeroAndIdleWorkersSleep) {
+  ThreadPool& pool = ThreadPool::instance();
+  pool.configure(4);
+  // Bursts of 1..64 tasks for about a second, each drained before the
+  // next: the end of a burst, when workers have just emptied the deques,
+  // is when a task could be taken before it was counted.
+  std::atomic<int> done{0};
+  int submitted = 0;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(1000);
+  for (int b = 0; std::chrono::steady_clock::now() < deadline; ++b) {
+    for (int i = 0; i <= b % 64; ++i, ++submitted) {
+      pool.submit([&done] { done.fetch_add(1, std::memory_order_relaxed); });
+    }
+    while (done.load(std::memory_order_relaxed) < submitted) {
+      std::this_thread::yield();
+    }
+    ASSERT_EQ(pool.pending_tasks(), 0u) << "after burst " << b;
+  }
+  const double cpu0 = process_cpu_seconds();
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  const double idle_cpu = process_cpu_seconds() - cpu0;
+  // Three spinning workers would burn ~0.9 s here.
+  EXPECT_LT(idle_cpu, 0.1) << "idle workers are not sleeping";
 }
 
 TEST_F(RuntimeTest, NestedParallelForDoesNotDeadlock) {
