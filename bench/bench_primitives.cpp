@@ -7,10 +7,9 @@
 // 2-pair product), the circuit-friendly primitives (MiMC, Poseidon) vs
 // the traditional hash (SHA-256), MSM and NTT scaling.
 //
-// Extra mode: `--msm-sweep[=quick]` skips google-benchmark and runs the
-// old-vs-new MSM comparison (Jacobian-bucket baseline vs signed-digit
-// affine buckets) for G1 and G2 across n = 2^8..2^15 (quick: 2^8..2^10),
-// emitting BENCH_msm.json.
+// Extra mode: `--msm-sweep[=quick]` skips google-benchmark and times the
+// signed-digit affine-bucket MSM for G1 and G2 across n = 2^8..2^15
+// (quick: 2^8..2^10), emitting BENCH_msm.json.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -240,14 +239,12 @@ void BM_Sha256_1KiB(benchmark::State& state) {
 }
 BENCHMARK(BM_Sha256_1KiB);
 
-// --- MSM sweep: Jacobian-bucket baseline vs affine signed-digit path ---
+// --- MSM sweep: signed-digit affine-bucket path per (group, n) ---
 
 struct MsmRow {
   std::string group;
   std::size_t n = 0;
-  double jacobian_seconds = 0;
   double affine_seconds = 0;
-  double speedup = 0;
 };
 
 // Times `fn()` with enough repetitions to dominate clock noise on small
@@ -263,25 +260,16 @@ double time_best(Fn&& fn, int reps) {
   return best;
 }
 
-template <typename Jac, typename Aff, typename JacMsm, typename AffMsm>
+// Signed-digit windows over a pre-normalized affine table, matching how
+// Srs::commit() consumes g1_powers_affine().
+template <typename Aff, typename AffMsm>
 MsmRow sweep_one(const char* group, std::size_t n,
-                 const std::vector<Fr>& scalars, const std::vector<Jac>& points,
-                 const std::vector<Aff>& affine, JacMsm&& jac_msm,
+                 const std::vector<Fr>& scalars, const std::vector<Aff>& affine,
                  AffMsm&& aff_msm) {
   const int reps = n <= (1u << 10) ? 5 : (n <= (1u << 12) ? 3 : 2);
   MsmRow row;
   row.group = group;
   row.n = n;
-  // Baseline: the pre-overhaul path, Jacobian buckets over Jacobian
-  // bases. New path: signed-digit windows over a pre-normalized affine
-  // table, matching how Srs::commit() consumes g1_powers_affine().
-  row.jacobian_seconds = time_best(
-      [&] {
-        benchmark::DoNotOptimize(jac_msm(
-            std::span<const Fr>(scalars.data(), n),
-            std::span<const Jac>(points.data(), n)));
-      },
-      reps);
   row.affine_seconds = time_best(
       [&] {
         benchmark::DoNotOptimize(aff_msm(
@@ -289,19 +277,15 @@ MsmRow sweep_one(const char* group, std::size_t n,
             std::span<const Aff>(affine.data(), n)));
       },
       reps);
-  row.speedup =
-      row.affine_seconds > 0 ? row.jacobian_seconds / row.affine_seconds : 0;
-  std::printf("  %-4s n=%-6zu jacobian %-12s affine %-12s speedup %.2fx\n",
-              group, n, bench::fmt_seconds(row.jacobian_seconds).c_str(),
-              bench::fmt_seconds(row.affine_seconds).c_str(), row.speedup);
+  std::printf("  %-4s n=%-6zu affine %-12s\n", group, n,
+              bench::fmt_seconds(row.affine_seconds).c_str());
   return row;
 }
 
 int run_msm_sweep(bool quick) {
   const std::size_t max_log2 = quick ? 10 : 15;
   const std::size_t max_n = std::size_t{1} << max_log2;
-  std::printf("MSM sweep (%s): n = 2^8..2^%zu, Jacobian buckets vs "
-              "signed-digit affine buckets\n",
+  std::printf("MSM sweep (%s): n = 2^8..2^%zu, signed-digit affine buckets\n",
               quick ? "quick" : "full", max_log2);
 
   crypto::Drbg r(42);
@@ -320,23 +304,15 @@ int run_msm_sweep(bool quick) {
 
   std::vector<MsmRow> rows;
   for (std::size_t lg = 8; lg <= max_log2; ++lg) {
-    const std::size_t n = std::size_t{1} << lg;
     rows.push_back(sweep_one(
-        "G1", n, scalars, g1, g1a,
-        [](std::span<const Fr> s, std::span<const ec::G1> p) {
-          return ec::msm_jacobian(s, p);
-        },
+        "G1", std::size_t{1} << lg, scalars, g1a,
         [](std::span<const Fr> s, std::span<const ec::G1Affine> p) {
           return ec::msm(s, p);
         }));
   }
   for (std::size_t lg = 8; lg <= max_log2; ++lg) {
-    const std::size_t n = std::size_t{1} << lg;
     rows.push_back(sweep_one(
-        "G2", n, scalars, g2, g2a,
-        [](std::span<const Fr> s, std::span<const ec::G2> p) {
-          return ec::msm_jacobian_g2(s, p);
-        },
+        "G2", std::size_t{1} << lg, scalars, g2a,
         [](std::span<const Fr> s, std::span<const ec::G2Affine> p) {
           return ec::msm_g2(s, p);
         }));
@@ -345,14 +321,11 @@ int run_msm_sweep(bool quick) {
   std::ofstream json("BENCH_msm.json");
   json << "{\n  \"bench\": \"msm_sweep\",\n"
        << "  \"mode\": \"" << (quick ? "quick" : "full") << "\",\n"
-       << "  \"baseline\": \"jacobian_buckets\",\n"
-       << "  \"candidate\": \"affine_signed_digit_buckets\",\n"
+       << "  \"path\": \"affine_signed_digit_buckets\",\n"
        << "  \"results\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     json << "    {\"group\": \"" << rows[i].group << "\", \"n\": " << rows[i].n
-         << ", \"jacobian_seconds\": " << rows[i].jacobian_seconds
-         << ", \"affine_seconds\": " << rows[i].affine_seconds
-         << ", \"speedup\": " << rows[i].speedup << "}"
+         << ", \"affine_seconds\": " << rows[i].affine_seconds << "}"
          << (i + 1 < rows.size() ? "," : "") << "\n";
   }
   json << "  ]\n}\n";

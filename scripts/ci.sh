@@ -123,7 +123,7 @@ cmake -B build-checked -S . -DZKDET_CHECKED=ON
 cmake --build build-checked -j
 ctest --test-dir build-checked --output-on-failure -j
 
-echo "=== checked: MSM differential suite (affine vs Jacobian vs naive) ==="
+echo "=== checked: MSM differential suite (affine vs naive) ==="
 ./build-checked/tests/zkdet_math_tests \
   --gtest_filter='MsmDifferential*:BatchNormalize*:MulCt*:MixedAdd*'
 
@@ -176,7 +176,8 @@ fi
 echo "=== fuzz: 10s smoke per target ==="
 cmake -B build-fuzz -S . -DZKDET_FUZZ=ON
 cmake --build build-fuzz -j --target zkdet_fuzz_u256 --target zkdet_fuzz_transcript \
-  --target zkdet_fuzz_wal --target zkdet_fuzz_rpc_wire
+  --target zkdet_fuzz_wal --target zkdet_fuzz_rpc_wire \
+  --target zkdet_fuzz_repl_frame
 # ZKDET_FUZZ_SECONDS drives the GCC standalone driver; -max_total_time
 # drives Clang/libFuzzer builds (the standalone driver ignores dash-args).
 FUZZ_SECS="${ZKDET_FUZZ_SECONDS:-10}"
@@ -184,5 +185,6 @@ ZKDET_FUZZ_SECONDS="$FUZZ_SECS" ./build-fuzz/fuzz/zkdet_fuzz_u256 "-max_total_ti
 ZKDET_FUZZ_SECONDS="$FUZZ_SECS" ./build-fuzz/fuzz/zkdet_fuzz_transcript "-max_total_time=$FUZZ_SECS"
 ZKDET_FUZZ_SECONDS="$FUZZ_SECS" ./build-fuzz/fuzz/zkdet_fuzz_wal "-max_total_time=$FUZZ_SECS"
 ZKDET_FUZZ_SECONDS="$FUZZ_SECS" ./build-fuzz/fuzz/zkdet_fuzz_rpc_wire "-max_total_time=$FUZZ_SECS"
+ZKDET_FUZZ_SECONDS="$FUZZ_SECS" ./build-fuzz/fuzz/zkdet_fuzz_repl_frame "-max_total_time=$FUZZ_SECS"
 
 echo "=== CI OK ==="

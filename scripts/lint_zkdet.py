@@ -37,8 +37,10 @@ analysis tooling"):
   direct-chain-call        no direct Chain::call() in src/core — protocol
                            transactions route through txpool::TxPool::call
                            (declared access sets, nonce assignment, pooled
-                           batching); reviewed direct sends (ZKCP baseline,
-                           mint) are annotated.
+                           batching). No annotated site remains; the rule
+                           stays because a direct send signs at the chain
+                           nonce and would consume a nonce that a queued
+                           pooled intent of the same sender already holds.
   unbatched-verify         no inline plonk::verify() on settlement
                            paths (src/chain, src/core) — on-chain proof
                            checks ride the batched claim pipeline
@@ -188,7 +190,8 @@ RULES = [
     Rule(
         # The protocol layer sends txs through the pool so every tx gets
         # a nonce, a declared access set, and a shot at batching; a
-        # direct Chain::call bypasses all three.
+        # direct Chain::call bypasses all three, and its chain-nonce
+        # signature collides with any queued intent of the same sender.
         "direct-chain-call",
         r"\bchain\s*\(\s*\)\s*\.\s*call\s*\(|\bchain_\s*\.\s*call\s*\(",
         _in(("src/core/",)),

@@ -63,28 +63,19 @@ void CallContext::emit(Event ev) {
 
 // --- MeteredStore ---
 
+// A CallContext only exists inside Chain::execute_batch, which installs
+// a capture for every tx: writes always buffer, never touch slots_.
 void MeteredStore::set(CallContext& ctx, const std::string& key,
                        const Fr& value) {
   const auto& g = ctx.chain().gas_schedule();
-  if (TxExecCapture* cap = Chain::capture()) {
-    cap->check_write(owner_, key);
-    const auto ov = cap->slots.find({owner_, key});
-    const bool exists = ov != cap->slots.end() ? ov->second.has_value()
-                                               : slots_.count(key) > 0;
-    ctx.gas().charge(exists ? g.sstore_update : g.sstore_set);
-    cap->slots[{owner_, key}] = value;
-    cap->delta.slot_sets.emplace_back(owner_, key, value);
-    return;
-  }
-  const auto it = slots_.find(key);
-  if (it == slots_.end()) {
-    ctx.gas().charge(g.sstore_set);
-    slots_.emplace(key, value);
-  } else {
-    ctx.gas().charge(g.sstore_update);
-    it->second = value;
-  }
-  ctx.chain().record_slot_set(owner_, key, value);
+  TxExecCapture& cap = *Chain::capture();
+  cap.check_write(owner_, key);
+  const auto ov = cap.slots.find({owner_, key});
+  const bool exists = ov != cap.slots.end() ? ov->second.has_value()
+                                            : slots_.count(key) > 0;
+  ctx.gas().charge(exists ? g.sstore_update : g.sstore_set);
+  cap.slots[{owner_, key}] = value;
+  cap.delta.slot_sets.emplace_back(owner_, key, value);
 }
 
 void MeteredStore::set_u64(CallContext& ctx, const std::string& key,
@@ -95,11 +86,10 @@ void MeteredStore::set_u64(CallContext& ctx, const std::string& key,
 std::optional<Fr> MeteredStore::get(CallContext& ctx,
                                     const std::string& key) const {
   ctx.gas().charge(ctx.chain().gas_schedule().sload);
-  if (const TxExecCapture* cap = Chain::capture()) {
-    cap->check_read(owner_, key);
-    const auto ov = cap->slots.find({owner_, key});
-    if (ov != cap->slots.end()) return ov->second;
-  }
+  const TxExecCapture& cap = *Chain::capture();
+  cap.check_read(owner_, key);
+  const auto ov = cap.slots.find({owner_, key});
+  if (ov != cap.slots.end()) return ov->second;
   const auto it = slots_.find(key);
   if (it == slots_.end()) return std::nullopt;
   return it->second;
@@ -114,14 +104,10 @@ std::optional<std::uint64_t> MeteredStore::get_u64(
 
 void MeteredStore::erase(CallContext& ctx, const std::string& key) {
   ctx.gas().charge(ctx.chain().gas_schedule().sstore_update);
-  if (TxExecCapture* cap = Chain::capture()) {
-    cap->check_write(owner_, key);
-    cap->slots[{owner_, key}] = std::nullopt;
-    cap->delta.slot_erases.emplace_back(owner_, key);
-    return;
-  }
-  slots_.erase(key);
-  ctx.chain().record_slot_erase(owner_, key);
+  TxExecCapture& cap = *Chain::capture();
+  cap.check_write(owner_, key);
+  cap.slots[{owner_, key}] = std::nullopt;
+  cap.delta.slot_erases.emplace_back(owner_, key);
 }
 
 std::optional<Fr> MeteredStore::peek(const std::string& key) const {
@@ -196,19 +182,6 @@ void Chain::transfer(const Address& from, const Address& to,
   }
 }
 
-void Chain::record_slot_set(const Address& contract, const std::string& key,
-                            const Fr& value) {
-  if (observer_ != nullptr) {
-    delta_.slot_sets.emplace_back(contract, key, value);
-  }
-}
-
-void Chain::record_slot_erase(const Address& contract, const std::string& key) {
-  if (observer_ != nullptr) {
-    delta_.slot_erases.emplace_back(contract, key);
-  }
-}
-
 void Chain::finish_deploy(const crypto::KeyPair& deployer,
                           std::unique_ptr<Contract> contract,
                           Receipt* receipt) {
@@ -279,77 +252,25 @@ Receipt Chain::call(const crypto::KeyPair& sender,
                     const std::function<void(CallContext&)>& fn,
                     std::uint64_t value, const Address& pay_to,
                     std::uint64_t gas_limit) {
-  Receipt receipt;
-  const Address from = crypto::address_of(sender.pk);
-
   // Fail-point: the transaction is dropped before it reaches the
   // sequencer — no block is sealed and no state (funds included) moves.
   // Callers observe a failed receipt and must retry (ExchangeDriver) or
   // surface the error.
   if (fault::fire(fault::points::kChainSubmit)) {
+    Receipt receipt;
     receipt.error = "injected: tx dropped before submission";
     return receipt;
   }
-
-  // Authenticate: a signature over (description, nonce) stands in for a
-  // full RLP transaction; the chain rejects unknown or forged senders,
-  // and the signed nonce makes an identical resubmission a rejected
-  // replay rather than a fresh execution.
-  const std::uint64_t nonce = account_nonce(from);
-  crypto::Drbg rng("tx-auth:" + from, nonce * 1000003 + description.size());
-  const auto msg = tx_auth_message(description, nonce);
-  const auto sig = crypto::schnorr_sign(sender, msg, rng);
-  const auto keyit = account_keys_.find(from);
-  if (keyit == account_keys_.end() ||
-      !crypto::schnorr_verify(keyit->second, msg, sig)) {
-    receipt.error = "unknown sender or bad signature";
-    return receipt;
-  }
-
-  GasMeter meter(gas_limit);
-  TxRecord tx;
-  tx.sender = from;
+  BatchTx tx;
+  tx.sender = crypto::address_of(sender.pk);
   tx.description = description;
-  tx.nonce = nonce;
-  tx.sig = sig;
-  tx.has_sig = true;
-  try {
-    meter.charge(gas_.tx_base);
-    if (value > 0) {
-      if (pay_to.empty()) throw Revert("value transfer without target");
-      transfer(from, pay_to, value);
-    }
-    CallContext ctx(*this, from, value, meter);
-    fn(ctx);
-    receipt.success = true;
-    tx.events = ctx.events();  // receipt events are part of the block
-    receipt.events = std::move(ctx.events());
-  } catch (const Revert& r) {
-    receipt.error = r.what();
-    tx.success = false;
-  } catch (const OutOfGas&) {
-    receipt.error = "out of gas";
-    tx.success = false;
-  }
-  if (!tx.success && value > 0) {
-    // Undo the escrow payment (best effort: a contract that spent the
-    // escrow before reverting is a contract bug surfaced in the error).
-    try {
-      transfer(pay_to, from, value);
-    } catch (const Revert&) {
-      receipt.error += " (escrow refund failed)";
-    }
-  }
-  receipt.gas_used = meter.used();
-  receipt.block = height();
-  tx.gas_used = meter.used();
-  {
-    // Consumed by inclusion, success or revert.
-    const MutexLock lk(nonce_mu_);
-    nonces_[from] = nonce + 1;
-  }
-  seal_block(std::move(tx));
-  return receipt;
+  tx.nonce = account_nonce(tx.sender);
+  tx.sig = sign_tx(sender, description, tx.nonce);
+  tx.fn = fn;
+  tx.value = value;
+  tx.pay_to = pay_to;
+  tx.gas_limit = gas_limit;
+  return execute_batch({std::move(tx)}, /*parallel=*/false)[0];
 }
 
 std::uint64_t Chain::account_nonce(const Address& a) const {
@@ -365,6 +286,15 @@ std::vector<std::uint8_t> Chain::tx_auth_message(const std::string& description,
     msg.push_back(static_cast<std::uint8_t>(nonce >> (8 * i)));
   }
   return msg;
+}
+
+crypto::Signature Chain::sign_tx(const crypto::KeyPair& sender,
+                                 const std::string& description,
+                                 std::uint64_t nonce) {
+  crypto::Drbg rng("tx-auth:" + crypto::address_of(sender.pk),
+                   nonce * 1000003 + description.size());
+  return crypto::schnorr_sign(sender, tx_auth_message(description, nonce),
+                              rng);
 }
 
 void Chain::advance_blocks(std::uint64_t k) {
@@ -409,13 +339,13 @@ bool Chain::apply_capture(const TxExecCapture& cap) {
     Contract* c = find_contract(addr);
     if (c == nullptr) throw Revert("captured write to unknown contract " + addr);
     c->store_.slots_[key] = value;
-    record_slot_set(addr, key, value);
+    if (observer_ != nullptr) delta_.slot_sets.emplace_back(addr, key, value);
   }
   for (const auto& [addr, key] : cap.delta.slot_erases) {
     Contract* c = find_contract(addr);
     if (c == nullptr) throw Revert("captured erase on unknown contract " + addr);
     c->store_.slots_.erase(key);
-    record_slot_erase(addr, key);
+    if (observer_ != nullptr) delta_.slot_erases.emplace_back(addr, key);
   }
   return true;
 }
@@ -514,8 +444,8 @@ std::vector<Receipt> Chain::execute_batch(const std::vector<BatchTx>& txs,
   // Stage 3 — captured execution. Each tx buffers every effect in its
   // own TxExecCapture; chain state is not mutated here, so the
   // scheduler's conflict-free batches run concurrently. Failed txs are
-  // rolled back whole (capture discarded) — stricter than the legacy
-  // single-tx path, where pre-revert slot writes persist.
+  // rolled back whole (capture discarded): no slot write or balance
+  // move of a reverted tx, escrow payment included, reaches the block.
   std::vector<TxExecCapture> caps(txs.size());
   std::vector<TxRecord> recs(txs.size());
   struct CaptureScope {  // exception-safe thread-local (un)install

@@ -101,8 +101,9 @@ struct Block;
 
 // Durability hook: src/ledger attaches one of these to journal every
 // state mutation. Callbacks run synchronously inside the mutating call —
-// on_block_sealed fires before Chain::call returns its receipt, so a
-// crash after the callback returned implies the block is durable.
+// on_block_sealed fires before Chain::execute_batch (and so Chain::call)
+// returns its receipts, so a crash after the callback returned implies
+// the block is durable.
 class ChainObserver {
  public:
   virtual ~ChainObserver() = default;
@@ -151,8 +152,8 @@ class TxAccessPolicy {
 };
 
 // One pre-signed transaction of a batch (produced by the txpool
-// scheduler). The vector order handed to Chain::execute_batch IS the
-// canonical in-block order.
+// scheduler, or by Chain::call as a batch of one). The vector order
+// handed to Chain::execute_batch IS the canonical in-block order.
 struct BatchTx {
   Address sender;
   std::string description;
@@ -190,12 +191,10 @@ struct TxExecCapture {
   void discard();
 };
 
-// Execution context handed to contract methods.
+// Execution context handed to contract methods. Only Chain::execute_batch
+// constructs one, so every contract call runs under an installed capture.
 class CallContext {
  public:
-  CallContext(Chain& chain, Address sender, std::uint64_t value,
-              GasMeter& gas);
-
   [[nodiscard]] Chain& chain() { return chain_; }
   [[nodiscard]] const Address& sender() const { return sender_; }
   [[nodiscard]] std::uint64_t value() const { return value_; }
@@ -237,6 +236,10 @@ class CallContext {
   };
 
  private:
+  friend class Chain;
+  CallContext(Chain& chain, Address sender, std::uint64_t value,
+              GasMeter& gas);
+
   Chain& chain_;
   Address sender_;
   std::uint64_t value_;
@@ -328,7 +331,9 @@ class Chain {
   }
 
   // --- transactions ---
-  // Runs `fn` as a signed, gas-metered transaction from `sender`.
+  // Runs `fn` as a signed, gas-metered transaction from `sender`: signs
+  // at the sender's current nonce and executes it through execute_batch
+  // as a serial batch of one (same admission, rollback and sealing).
   Receipt call(const crypto::KeyPair& sender, const std::string& description,
                const std::function<void(CallContext&)>& fn,
                std::uint64_t value = 0, const Address& pay_to = {},
@@ -343,6 +348,13 @@ class Chain {
   // re-verification.
   [[nodiscard]] static std::vector<std::uint8_t> tx_auth_message(
       const std::string& description, std::uint64_t nonce);
+  // Schnorr signature over tx_auth_message from a deterministic
+  // per-(sender, nonce) stream: Chain::call and txpool::make_intent both
+  // sign here, so identical (sender, description, nonce) yield identical
+  // signatures, blocks and WAL bytes on either path.
+  [[nodiscard]] static crypto::Signature sign_tx(
+      const crypto::KeyPair& sender, const std::string& description,
+      std::uint64_t nonce);
 
   // Executes a batch of pre-signed transactions and seals the included
   // ones into ONE block, in the given (canonical) order. Stages:
@@ -385,10 +397,6 @@ class Chain {
   // restore_state).
   void set_observer(ChainObserver* observer) { observer_ = observer; }
   [[nodiscard]] bool recording() const { return observer_ != nullptr; }
-  // Delta capture for contract storage writes (called by MeteredStore).
-  void record_slot_set(const Address& contract, const std::string& key,
-                       const Fr& value);
-  void record_slot_erase(const Address& contract, const std::string& key);
 
   // Replaces this chain's state with a persisted image (ledger reopen).
   // Only legal on a chain that has seen no activity beyond genesis.

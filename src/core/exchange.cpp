@@ -292,26 +292,43 @@ std::optional<std::uint64_t> ZkcpExchange::lock_payment(
   // In ZKCP the buyer locks against h = H(k) received from the seller
   // with the offer.
   std::uint64_t id = 0;
-  // ZKCP is the unsharded legacy baseline; it stays on the direct path
-  // so the bench comparison is pool-free on both legs.
-  // zkdet-lint: allow(direct-chain-call)
-  const auto receipt = sys_.chain().call(
+  // Locking allocates a fresh exchange id from the arbiter's shared
+  // counter: whole-contract write, as for the key-secure lock.
+  auto& arb = sys_.zkcp_arbiter();
+  txpool::AccessSet access;
+  access.write_contract(arb.address())
+      .touch_account(crypto::address_of(buyer.pk))
+      .touch_account(arb.address());
+  const auto receipt = sys_.pool().call(
       buyer, "zkcp.lock",
       [&](chain::CallContext& ctx) {
-        id = sys_.zkcp_arbiter().lock(ctx, info->owner, offer.key_hash);
+        id = arb.lock(ctx, info->owner, offer.key_hash);
       },
-      /*value=*/amount, /*pay_to=*/sys_.zkcp_arbiter().address());
+      std::move(access), /*value=*/amount, /*pay_to=*/arb.address());
   if (!receipt.success) return std::nullopt;
   return id;
 }
 
+txpool::AccessSet ZkcpExchange::open_access(const crypto::KeyPair& seller,
+                                            std::uint64_t exchange_id) const {
+  // Opens pay the escrow out of the shared ZKCP arbiter account, so
+  // they conflict pairwise on that balance and serialize across blocks.
+  const chain::Address& arb = sys_.zkcp_arbiter().address();
+  txpool::AccessSet access;
+  access.write_contract(arb, "zkcp/" + std::to_string(exchange_id) + "/")
+      .touch_account(arb)
+      .touch_account(crypto::address_of(seller.pk));
+  return access;
+}
+
 bool ZkcpExchange::open(const crypto::KeyPair& seller, const OwnedAsset& asset,
                         std::uint64_t exchange_id) {
-  // zkdet-lint: allow(direct-chain-call) ZKCP baseline stays pool-free
-  const auto receipt = sys_.chain().call(
-      seller, "zkcp.open", [&](chain::CallContext& ctx) {
+  const auto receipt = sys_.pool().call(
+      seller, "zkcp.open",
+      [&](chain::CallContext& ctx) {
         sys_.zkcp_arbiter().open(ctx, exchange_id, asset.key);
-      });
+      },
+      open_access(seller, exchange_id));
   return receipt.success;
 }
 
@@ -324,14 +341,8 @@ std::vector<bool> ZkcpExchange::open_batch(
   for (std::size_t i = 0; i < requests.size(); ++i) {
     const OpenRequest& rq = requests[i];
     if (rq.seller == nullptr || rq.asset == nullptr) continue;
-    // Opens pay the escrow out of the shared ZKCP arbiter account, so
-    // they conflict pairwise on that balance and serialize across
-    // blocks — accumulation still pays one pump loop for all of them.
-    txpool::AccessSet access;
-    access.write_contract(arb.address(),
-                          "zkcp/" + std::to_string(rq.exchange_id) + "/")
-        .touch_account(arb.address())
-        .touch_account(crypto::address_of(rq.seller->pk));
+    // Opens serialize on the arbiter balance (open_access); accumulation
+    // still pays one pump loop for all of them.
     auto intent = txpool::make_intent(
         *rq.seller, pool.next_nonce(crypto::address_of(rq.seller->pk)),
         "zkcp.open",
@@ -339,7 +350,7 @@ std::vector<bool> ZkcpExchange::open_batch(
          key = rq.asset->key](chain::CallContext& ctx) {
           arbp->open(ctx, id, key);
         },
-        std::move(access));
+        open_access(*rq.seller, rq.exchange_id));
     auto res = pool.submit(std::move(intent));
     if (!res.accepted) continue;
     tickets.emplace_back(i, std::move(res.ticket));

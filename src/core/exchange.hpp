@@ -174,6 +174,11 @@ class ZkcpExchange {
       std::uint64_t exchange_id, std::uint64_t token_id) const;
 
  private:
+  // Declared access of one open: its exchange's slots plus the arbiter
+  // and seller balances.
+  [[nodiscard]] txpool::AccessSet open_access(const crypto::KeyPair& seller,
+                                              std::uint64_t exchange_id) const;
+
   ZkdetSystem& sys_;
   TransformationProtocol& transform_;
 };

@@ -56,10 +56,8 @@ std::optional<std::uint64_t> TransformationProtocol::mint_with_encryption(
 
   std::uint64_t token_id = 0;
   // Minting allocates a fresh token id from shared NFT state, so it
-  // serializes by nature; the direct path keeps the id visible to the
-  // caller synchronously.
-  // zkdet-lint: allow(direct-chain-call)
-  const auto receipt = sys_.chain().call(
+  // serializes by nature: undeclared access, sealed alone.
+  const auto receipt = sys_.pool().call(
       owner, formula == Formula::kGenesis ? "mint" : "mint_derived",
       [&](chain::CallContext& ctx) {
         if (formula == Formula::kGenesis) {

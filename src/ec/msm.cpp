@@ -136,74 +136,6 @@ Point<Traits> msm_affine_impl(std::span<const Fr> scalars,
   return result;
 }
 
-// Pre-overhaul window choice, preserved verbatim for the Jacobian
-// baseline — including its unbounded bucket memory (c = 16 means ~19 MB
-// of Jacobian G2 buckets per window), which is exactly the behaviour
-// the production chooser msm_window_size() exists to fix. Changing the
-// baseline would silently rescale every BENCH_msm.json comparison.
-std::size_t pick_window_jacobian(std::size_t n) {
-  if (n < 32) return 3;
-  std::size_t c = 3;
-  while ((1ull << (c + 1)) < n && c < 16) ++c;
-  return c;
-}
-
-// Unsigned-window full-Jacobian Pippenger: the pre-affine implementation,
-// kept as the benchmark baseline and differential-test reference.
-template <typename Point>
-Point msm_jacobian_impl(std::span<const Fr> scalars,
-                        std::span<const Point> points) {
-  ZKDET_CHECK(scalars.size() == points.size(),
-              "msm: scalar/point count mismatch");
-  const std::size_t n = scalars.size();
-  if (n == 0) return Point::identity();
-  if (n < kMsmNaiveThreshold) return msm_naive_impl(scalars, points);
-  runtime::ScopedTimer timer(runtime::counters::msm_ns);
-
-  const std::size_t c = pick_window_jacobian(n);
-  const std::size_t num_windows = (kScalarBits + c - 1) / c;
-  std::vector<U256> ks(n);
-  for (std::size_t i = 0; i < n; ++i) ks[i] = scalars[i].to_canonical();
-
-  std::vector<Point> window_sums(num_windows, Point::identity());
-
-  const auto process_window = [&](std::size_t w) {
-    std::vector<Point> buckets((1ull << c) - 1, Point::identity());
-    const std::size_t bit_off = w * c;
-    for (std::size_t i = 0; i < n; ++i) {
-      std::uint64_t digit = 0;
-      for (std::size_t b = 0; b < c; ++b) {
-        const std::size_t bit = bit_off + b;
-        if (bit < 256 && ks[i].bit(bit)) digit |= (1ull << b);
-      }
-      if (digit != 0) buckets[digit - 1] += points[i];
-    }
-    Point running = Point::identity();
-    Point acc = Point::identity();
-    for (std::size_t j = buckets.size(); j-- > 0;) {
-      running += buckets[j];
-      acc += running;
-    }
-    window_sums[w] = acc;
-  };
-
-  auto& pool = runtime::ThreadPool::instance();
-  if (n < kMsmParallelThreshold || pool.concurrency() <= 1) {
-    for (std::size_t w = 0; w < num_windows; ++w) process_window(w);
-  } else {
-    pool.parallel_for(num_windows, 1, [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t w = lo; w < hi; ++w) process_window(w);
-    });
-  }
-
-  Point result = Point::identity();
-  for (std::size_t w = num_windows; w-- > 0;) {
-    for (std::size_t b = 0; b < c; ++b) result = result.dbl();
-    result += window_sums[w];
-  }
-  return result;
-}
-
 // Fixed-base table: table[w][b] = (b+1) * 2^(8w) * G for the generator,
 // stored affine (smaller table, mixed adds in fixed_mul). Built in
 // Jacobian form, then batch-normalized with a single inversion.
@@ -307,14 +239,6 @@ G2 msm_g2(std::span<const Fr> scalars, std::span<const G2> points) {
 
 G2 msm_g2(std::span<const Fr> scalars, std::span<const G2Affine> points) {
   return msm_affine_impl<G2Traits>(scalars, points);
-}
-
-G1 msm_jacobian(std::span<const Fr> scalars, std::span<const G1> points) {
-  return msm_jacobian_impl(scalars, points);
-}
-
-G2 msm_jacobian_g2(std::span<const Fr> scalars, std::span<const G2> points) {
-  return msm_jacobian_impl(scalars, points);
 }
 
 G1 g1_mul_generator(const Fr& k) { return fixed_mul<G1Traits>(k); }

@@ -11,10 +11,6 @@
 // threshold (each window is independent; only the final Horner-style
 // combine is sequential). Small inputs run serially — task dispatch
 // would dominate.
-//
-// The pre-affine full-Jacobian bucket path is kept as msm_jacobian /
-// msm_jacobian_g2: it is the baseline for the BENCH_msm.json sweep in
-// bench_primitives and the third leg of the differential tests.
 #pragma once
 
 #include <span>
@@ -42,11 +38,6 @@ G1 msm(std::span<const Fr> scalars, std::span<const G1> points);
 G1 msm(std::span<const Fr> scalars, std::span<const G1Affine> points);
 G2 msm_g2(std::span<const Fr> scalars, std::span<const G2> points);
 G2 msm_g2(std::span<const Fr> scalars, std::span<const G2Affine> points);
-
-// Unsigned-window full-Jacobian Pippenger (pre-affine baseline; kept
-// for benchmarking and differential testing).
-G1 msm_jacobian(std::span<const Fr> scalars, std::span<const G1> points);
-G2 msm_jacobian_g2(std::span<const Fr> scalars, std::span<const G2> points);
 
 // Naive double-and-add references (used by tests to cross-check).
 G1 msm_naive(std::span<const Fr> scalars, std::span<const G1> points);

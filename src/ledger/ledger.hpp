@@ -13,9 +13,10 @@
 //                       snapshot covering them is published
 //
 // Durability contract: Ledger::on_block_sealed runs synchronously
-// inside Chain::seal_block, so by the time Chain::call returns a
-// receipt the block's WAL record is written (and fsynced, unless
-// Options::fsync_each_append is off). A crash at ANY instant yields,
+// inside Chain's block sealing, so by the time Chain::execute_batch
+// (or Chain::call, a batch of one) returns a receipt the block's WAL
+// record is written (and fsynced, unless Options::fsync_each_append is
+// off). A crash at ANY instant yields,
 // on reopen, a chain that passes validate_chain() and whose tip is
 // either the last acked block (record durable) or the block before it
 // (record torn/corrupt → tail truncated); an un-acked block may land

@@ -3,153 +3,24 @@
 namespace zkdet::runtime {
 
 namespace counters {
-std::atomic<std::uint64_t> jobs_submitted{0};
-std::atomic<std::uint64_t> jobs_completed{0};
-std::atomic<std::uint64_t> jobs_failed{0};
-std::atomic<std::uint64_t> key_cache_hits{0};
-std::atomic<std::uint64_t> key_cache_misses{0};
-std::atomic<std::uint64_t> key_cache_evictions{0};
-std::atomic<std::uint64_t> proofs_verified{0};
-std::atomic<std::uint64_t> batch_verifications{0};
-std::atomic<std::uint64_t> batch_fold_checks{0};
-std::atomic<std::uint64_t> batch_entries_folded{0};
-std::atomic<std::uint64_t> batch_invalid_attributed{0};
-std::atomic<std::uint64_t> settle_batches{0};
-std::atomic<std::uint64_t> settle_claims{0};
-std::atomic<std::uint64_t> settle_max_fold{0};
-std::atomic<std::uint64_t> parallel_regions{0};
-std::atomic<std::uint64_t> chunks_executed{0};
-std::atomic<std::uint64_t> chunks_stolen{0};
-std::atomic<std::uint64_t> txpool_submitted{0};
-std::atomic<std::uint64_t> txpool_rejected{0};
-std::atomic<std::uint64_t> txpool_replaced{0};
-std::atomic<std::uint64_t> txpool_batches_sealed{0};
-std::atomic<std::uint64_t> txpool_txs_executed{0};
-std::atomic<std::uint64_t> txpool_conflict_aborts{0};
-std::atomic<std::uint64_t> txpool_queue_depth{0};
-std::atomic<std::uint64_t> repl_records_shipped{0};
-std::atomic<std::uint64_t> repl_retransmits{0};
-std::atomic<std::uint64_t> repl_snapshots_shipped{0};
-std::atomic<std::uint64_t> repl_records_applied{0};
-std::atomic<std::uint64_t> repl_failstops{0};
-std::atomic<std::uint64_t> rpc_admitted{0};
-std::atomic<std::uint64_t> rpc_shed{0};
-std::atomic<std::uint64_t> rpc_batched_proves{0};
-std::atomic<std::uint64_t> rpc_inflight{0};
-std::atomic<std::uint64_t> rpc_queue_depth{0};
-std::atomic<std::uint64_t> msm_ns{0};
-std::atomic<std::uint64_t> ntt_ns{0};
-std::atomic<std::uint64_t> quotient_ns{0};
-std::atomic<std::uint64_t> preprocess_ns{0};
-std::atomic<std::uint64_t> prove_ns{0};
-std::atomic<std::uint64_t> verify_ns{0};
+#define ZKDET_STATS_COUNTER(name) std::atomic<std::uint64_t> name{0};
+ZKDET_RUNTIME_COUNTERS(ZKDET_STATS_COUNTER)
+#undef ZKDET_STATS_COUNTER
 }  // namespace counters
 
 StatsSnapshot stats() {
   StatsSnapshot s;
-  s.jobs_submitted = counters::jobs_submitted.load(std::memory_order_relaxed);
-  s.jobs_completed = counters::jobs_completed.load(std::memory_order_relaxed);
-  s.jobs_failed = counters::jobs_failed.load(std::memory_order_relaxed);
-  s.key_cache_hits = counters::key_cache_hits.load(std::memory_order_relaxed);
-  s.key_cache_misses =
-      counters::key_cache_misses.load(std::memory_order_relaxed);
-  s.key_cache_evictions =
-      counters::key_cache_evictions.load(std::memory_order_relaxed);
-  s.proofs_verified = counters::proofs_verified.load(std::memory_order_relaxed);
-  s.batch_verifications =
-      counters::batch_verifications.load(std::memory_order_relaxed);
-  s.batch_fold_checks =
-      counters::batch_fold_checks.load(std::memory_order_relaxed);
-  s.batch_entries_folded =
-      counters::batch_entries_folded.load(std::memory_order_relaxed);
-  s.batch_invalid_attributed =
-      counters::batch_invalid_attributed.load(std::memory_order_relaxed);
-  s.settle_batches = counters::settle_batches.load(std::memory_order_relaxed);
-  s.settle_claims = counters::settle_claims.load(std::memory_order_relaxed);
-  s.settle_max_fold =
-      counters::settle_max_fold.load(std::memory_order_relaxed);
-  s.parallel_regions =
-      counters::parallel_regions.load(std::memory_order_relaxed);
-  s.chunks_executed = counters::chunks_executed.load(std::memory_order_relaxed);
-  s.chunks_stolen = counters::chunks_stolen.load(std::memory_order_relaxed);
-  s.txpool_submitted =
-      counters::txpool_submitted.load(std::memory_order_relaxed);
-  s.txpool_rejected = counters::txpool_rejected.load(std::memory_order_relaxed);
-  s.txpool_replaced = counters::txpool_replaced.load(std::memory_order_relaxed);
-  s.txpool_batches_sealed =
-      counters::txpool_batches_sealed.load(std::memory_order_relaxed);
-  s.txpool_txs_executed =
-      counters::txpool_txs_executed.load(std::memory_order_relaxed);
-  s.txpool_conflict_aborts =
-      counters::txpool_conflict_aborts.load(std::memory_order_relaxed);
-  s.txpool_queue_depth =
-      counters::txpool_queue_depth.load(std::memory_order_relaxed);
-  s.repl_records_shipped =
-      counters::repl_records_shipped.load(std::memory_order_relaxed);
-  s.repl_retransmits =
-      counters::repl_retransmits.load(std::memory_order_relaxed);
-  s.repl_snapshots_shipped =
-      counters::repl_snapshots_shipped.load(std::memory_order_relaxed);
-  s.repl_records_applied =
-      counters::repl_records_applied.load(std::memory_order_relaxed);
-  s.repl_failstops = counters::repl_failstops.load(std::memory_order_relaxed);
-  s.rpc_admitted = counters::rpc_admitted.load(std::memory_order_relaxed);
-  s.rpc_shed = counters::rpc_shed.load(std::memory_order_relaxed);
-  s.rpc_batched_proves =
-      counters::rpc_batched_proves.load(std::memory_order_relaxed);
-  s.rpc_inflight = counters::rpc_inflight.load(std::memory_order_relaxed);
-  s.rpc_queue_depth =
-      counters::rpc_queue_depth.load(std::memory_order_relaxed);
-  s.msm_ns = counters::msm_ns.load(std::memory_order_relaxed);
-  s.ntt_ns = counters::ntt_ns.load(std::memory_order_relaxed);
-  s.quotient_ns = counters::quotient_ns.load(std::memory_order_relaxed);
-  s.preprocess_ns = counters::preprocess_ns.load(std::memory_order_relaxed);
-  s.prove_ns = counters::prove_ns.load(std::memory_order_relaxed);
-  s.verify_ns = counters::verify_ns.load(std::memory_order_relaxed);
+#define ZKDET_STATS_LOAD(name) \
+  s.name = counters::name.load(std::memory_order_relaxed);
+  ZKDET_RUNTIME_COUNTERS(ZKDET_STATS_LOAD)
+#undef ZKDET_STATS_LOAD
   return s;
 }
 
 void reset_stats() {
-  counters::jobs_submitted.store(0, std::memory_order_relaxed);
-  counters::jobs_completed.store(0, std::memory_order_relaxed);
-  counters::jobs_failed.store(0, std::memory_order_relaxed);
-  counters::key_cache_hits.store(0, std::memory_order_relaxed);
-  counters::key_cache_misses.store(0, std::memory_order_relaxed);
-  counters::key_cache_evictions.store(0, std::memory_order_relaxed);
-  counters::proofs_verified.store(0, std::memory_order_relaxed);
-  counters::batch_verifications.store(0, std::memory_order_relaxed);
-  counters::batch_fold_checks.store(0, std::memory_order_relaxed);
-  counters::batch_entries_folded.store(0, std::memory_order_relaxed);
-  counters::batch_invalid_attributed.store(0, std::memory_order_relaxed);
-  counters::settle_batches.store(0, std::memory_order_relaxed);
-  counters::settle_claims.store(0, std::memory_order_relaxed);
-  counters::settle_max_fold.store(0, std::memory_order_relaxed);
-  counters::parallel_regions.store(0, std::memory_order_relaxed);
-  counters::chunks_executed.store(0, std::memory_order_relaxed);
-  counters::chunks_stolen.store(0, std::memory_order_relaxed);
-  counters::txpool_submitted.store(0, std::memory_order_relaxed);
-  counters::txpool_rejected.store(0, std::memory_order_relaxed);
-  counters::txpool_replaced.store(0, std::memory_order_relaxed);
-  counters::txpool_batches_sealed.store(0, std::memory_order_relaxed);
-  counters::txpool_txs_executed.store(0, std::memory_order_relaxed);
-  counters::txpool_conflict_aborts.store(0, std::memory_order_relaxed);
-  counters::txpool_queue_depth.store(0, std::memory_order_relaxed);
-  counters::repl_records_shipped.store(0, std::memory_order_relaxed);
-  counters::repl_retransmits.store(0, std::memory_order_relaxed);
-  counters::repl_snapshots_shipped.store(0, std::memory_order_relaxed);
-  counters::repl_records_applied.store(0, std::memory_order_relaxed);
-  counters::repl_failstops.store(0, std::memory_order_relaxed);
-  counters::rpc_admitted.store(0, std::memory_order_relaxed);
-  counters::rpc_shed.store(0, std::memory_order_relaxed);
-  counters::rpc_batched_proves.store(0, std::memory_order_relaxed);
-  counters::rpc_inflight.store(0, std::memory_order_relaxed);
-  counters::rpc_queue_depth.store(0, std::memory_order_relaxed);
-  counters::msm_ns.store(0, std::memory_order_relaxed);
-  counters::ntt_ns.store(0, std::memory_order_relaxed);
-  counters::quotient_ns.store(0, std::memory_order_relaxed);
-  counters::preprocess_ns.store(0, std::memory_order_relaxed);
-  counters::prove_ns.store(0, std::memory_order_relaxed);
-  counters::verify_ns.store(0, std::memory_order_relaxed);
+#define ZKDET_STATS_RESET(name) counters::name.store(0, std::memory_order_relaxed);
+  ZKDET_RUNTIME_COUNTERS(ZKDET_STATS_RESET)
+#undef ZKDET_STATS_RESET
 }
 
 }  // namespace zkdet::runtime

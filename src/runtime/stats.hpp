@@ -14,60 +14,66 @@
 #include <chrono>
 #include <cstdint>
 
+// The one list of runtime counters. Each entry generates a StatsSnapshot
+// field, a counters:: atomic, and its stats()/reset_stats() handling.
+#define ZKDET_RUNTIME_COUNTERS(X)                                            \
+  /* ProverService job lifecycle. */                                         \
+  X(jobs_submitted)                                                          \
+  X(jobs_completed)                                                          \
+  X(jobs_failed)                                                             \
+  /* Proving/verifying-key LRU cache. */                                     \
+  X(key_cache_hits)                                                          \
+  X(key_cache_misses)                                                        \
+  X(key_cache_evictions)                                                     \
+  /* Batch verification. */                                                  \
+  X(proofs_verified)                                                         \
+  X(batch_verifications)                                                     \
+  /* Attributed batch verification (plonk::batch_verify_attributed). */      \
+  X(batch_fold_checks)        /* pairing products evaluated */               \
+  X(batch_entries_folded)     /* entries processed */                        \
+  X(batch_invalid_attributed) /* entries attributed invalid */               \
+  /* Batched settlement (Chain::execute_batch pre-execution claim stage). */ \
+  X(settle_batches)  /* batches with >= 1 proof claim */                     \
+  X(settle_claims)   /* settle claims pre-verified */                        \
+  X(settle_max_fold) /* gauge: largest claim fold so far */                  \
+  /* Thread pool. */                                                         \
+  X(parallel_regions)                                                        \
+  X(chunks_executed)                                                         \
+  X(chunks_stolen) /* chunks run by a thread other than the caller */        \
+  /* Transaction pool / batch executor (src/txpool). */                      \
+  X(txpool_submitted)                                                        \
+  X(txpool_rejected)                                                         \
+  X(txpool_replaced)                                                         \
+  X(txpool_batches_sealed)                                                   \
+  X(txpool_txs_executed)                                                     \
+  X(txpool_conflict_aborts)                                                  \
+  X(txpool_queue_depth) /* gauge: pending txs right now */                   \
+  /* WAL replication (src/replication). */                                   \
+  X(repl_records_shipped)                                                    \
+  X(repl_retransmits) /* re-ships after a missing ack */                     \
+  X(repl_snapshots_shipped)                                                  \
+  X(repl_records_applied) /* follower-side, post-fsync */                    \
+  X(repl_failstops)       /* divergence fail-stops raised */                 \
+  /* RPC front end (src/rpc). */                                             \
+  X(rpc_admitted)       /* requests past admission control */                \
+  X(rpc_shed)           /* typed Overloaded responses sent */                \
+  X(rpc_batched_proves) /* prove requests coalesced into groups */           \
+  X(rpc_inflight)       /* gauge: requests dispatching right now */          \
+  X(rpc_queue_depth)    /* gauge: admitted-but-undispatched */               \
+  /* Per-stage wall time (ns, summed per executing thread). */               \
+  X(msm_ns)                                                                  \
+  X(ntt_ns)                                                                  \
+  X(quotient_ns)                                                             \
+  X(preprocess_ns)                                                           \
+  X(prove_ns)                                                                \
+  X(verify_ns)
+
 namespace zkdet::runtime {
 
 struct StatsSnapshot {
-  // ProverService job lifecycle.
-  std::uint64_t jobs_submitted = 0;
-  std::uint64_t jobs_completed = 0;
-  std::uint64_t jobs_failed = 0;
-  // Proving/verifying-key LRU cache.
-  std::uint64_t key_cache_hits = 0;
-  std::uint64_t key_cache_misses = 0;
-  std::uint64_t key_cache_evictions = 0;
-  // Batch verification.
-  std::uint64_t proofs_verified = 0;
-  std::uint64_t batch_verifications = 0;
-  // Attributed batch verification (plonk::batch_verify_attributed).
-  std::uint64_t batch_fold_checks = 0;        // pairing products evaluated
-  std::uint64_t batch_entries_folded = 0;     // entries processed
-  std::uint64_t batch_invalid_attributed = 0; // entries attributed invalid
-  // Batched settlement (Chain::execute_batch pre-execution claim stage).
-  std::uint64_t settle_batches = 0;   // batches with >= 1 proof claim
-  std::uint64_t settle_claims = 0;    // settle claims pre-verified
-  std::uint64_t settle_max_fold = 0;  // gauge: largest claim fold so far
-  // Thread pool.
-  std::uint64_t parallel_regions = 0;
-  std::uint64_t chunks_executed = 0;
-  std::uint64_t chunks_stolen = 0;  // chunks run by a thread other than the caller
-  // Transaction pool / batch executor (src/txpool).
-  std::uint64_t txpool_submitted = 0;
-  std::uint64_t txpool_rejected = 0;
-  std::uint64_t txpool_replaced = 0;
-  std::uint64_t txpool_batches_sealed = 0;
-  std::uint64_t txpool_txs_executed = 0;
-  std::uint64_t txpool_conflict_aborts = 0;
-  std::uint64_t txpool_queue_depth = 0;  // gauge: pending txs right now
-  // WAL replication (src/replication).
-  std::uint64_t repl_records_shipped = 0;
-  std::uint64_t repl_retransmits = 0;  // re-ships after a missing ack
-  std::uint64_t repl_snapshots_shipped = 0;
-  std::uint64_t repl_records_applied = 0;  // follower-side, post-fsync
-  std::uint64_t repl_failstops = 0;        // divergence fail-stops raised
-  // RPC front end (src/rpc).
-  std::uint64_t rpc_admitted = 0;        // requests past admission control
-  std::uint64_t rpc_shed = 0;            // typed Overloaded responses sent
-  std::uint64_t rpc_batched_proves = 0;  // prove requests coalesced into
-                                         // ProverService groups
-  std::uint64_t rpc_inflight = 0;     // gauge: requests dispatching right now
-  std::uint64_t rpc_queue_depth = 0;  // gauge: admitted-but-undispatched
-  // Per-stage wall time (ns, summed per executing thread).
-  std::uint64_t msm_ns = 0;
-  std::uint64_t ntt_ns = 0;
-  std::uint64_t quotient_ns = 0;
-  std::uint64_t preprocess_ns = 0;
-  std::uint64_t prove_ns = 0;
-  std::uint64_t verify_ns = 0;
+#define ZKDET_STATS_FIELD(name) std::uint64_t name = 0;
+  ZKDET_RUNTIME_COUNTERS(ZKDET_STATS_FIELD)
+#undef ZKDET_STATS_FIELD
 };
 
 // Snapshot of all counters since process start / last reset.
@@ -77,46 +83,9 @@ void reset_stats();
 // Raw counters; hot paths bump these directly. Relaxed ordering is fine:
 // the counters carry no synchronization duties.
 namespace counters {
-extern std::atomic<std::uint64_t> jobs_submitted;
-extern std::atomic<std::uint64_t> jobs_completed;
-extern std::atomic<std::uint64_t> jobs_failed;
-extern std::atomic<std::uint64_t> key_cache_hits;
-extern std::atomic<std::uint64_t> key_cache_misses;
-extern std::atomic<std::uint64_t> key_cache_evictions;
-extern std::atomic<std::uint64_t> proofs_verified;
-extern std::atomic<std::uint64_t> batch_verifications;
-extern std::atomic<std::uint64_t> batch_fold_checks;
-extern std::atomic<std::uint64_t> batch_entries_folded;
-extern std::atomic<std::uint64_t> batch_invalid_attributed;
-extern std::atomic<std::uint64_t> settle_batches;
-extern std::atomic<std::uint64_t> settle_claims;
-extern std::atomic<std::uint64_t> settle_max_fold;
-extern std::atomic<std::uint64_t> parallel_regions;
-extern std::atomic<std::uint64_t> chunks_executed;
-extern std::atomic<std::uint64_t> chunks_stolen;
-extern std::atomic<std::uint64_t> txpool_submitted;
-extern std::atomic<std::uint64_t> txpool_rejected;
-extern std::atomic<std::uint64_t> txpool_replaced;
-extern std::atomic<std::uint64_t> txpool_batches_sealed;
-extern std::atomic<std::uint64_t> txpool_txs_executed;
-extern std::atomic<std::uint64_t> txpool_conflict_aborts;
-extern std::atomic<std::uint64_t> txpool_queue_depth;
-extern std::atomic<std::uint64_t> repl_records_shipped;
-extern std::atomic<std::uint64_t> repl_retransmits;
-extern std::atomic<std::uint64_t> repl_snapshots_shipped;
-extern std::atomic<std::uint64_t> repl_records_applied;
-extern std::atomic<std::uint64_t> repl_failstops;
-extern std::atomic<std::uint64_t> rpc_admitted;
-extern std::atomic<std::uint64_t> rpc_shed;
-extern std::atomic<std::uint64_t> rpc_batched_proves;
-extern std::atomic<std::uint64_t> rpc_inflight;
-extern std::atomic<std::uint64_t> rpc_queue_depth;
-extern std::atomic<std::uint64_t> msm_ns;
-extern std::atomic<std::uint64_t> ntt_ns;
-extern std::atomic<std::uint64_t> quotient_ns;
-extern std::atomic<std::uint64_t> preprocess_ns;
-extern std::atomic<std::uint64_t> prove_ns;
-extern std::atomic<std::uint64_t> verify_ns;
+#define ZKDET_STATS_COUNTER(name) extern std::atomic<std::uint64_t> name;
+ZKDET_RUNTIME_COUNTERS(ZKDET_STATS_COUNTER)
+#undef ZKDET_STATS_COUNTER
 }  // namespace counters
 
 // Adds the scope's elapsed nanoseconds to `sink` on destruction.

@@ -40,8 +40,7 @@ struct TxIntent {
   std::shared_ptr<const chain::ProofClaim> claim;
 };
 
-// Builds a signed intent (signature over Chain::tx_auth_message, same
-// deterministic per-sender signing stream as Chain::call).
+// Builds a signed intent (signed by Chain::sign_tx, as Chain::call is).
 [[nodiscard]] TxIntent make_intent(
     const crypto::KeyPair& sender, std::uint64_t nonce,
     std::string description, std::function<void(chain::CallContext&)> fn,

@@ -2,7 +2,6 @@
 
 #include <cstdlib>
 
-#include "crypto/rng.hpp"
 #include "fault/fault.hpp"
 #include "fault/points.hpp"
 #include "runtime/stats.hpp"
@@ -47,13 +46,7 @@ TxIntent make_intent(const crypto::KeyPair& sender, std::uint64_t nonce,
   in.gas_limit = gas_limit;
   in.priority = priority;
   in.claim = std::move(claim);
-  // Same deterministic signing stream as Chain::call, so a pooled tx
-  // and a direct call with identical (sender, description, nonce) yield
-  // identical signatures — and identical WAL bytes.
-  crypto::Drbg rng("tx-auth:" + in.sender,
-                   nonce * 1000003 + description.size());
-  const auto msg = chain::Chain::tx_auth_message(description, nonce);
-  in.sig = crypto::schnorr_sign(sender, msg, rng);
+  in.sig = chain::Chain::sign_tx(sender, description, nonce);
   in.description = std::move(description);
   return in;
 }

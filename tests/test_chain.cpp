@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <filesystem>
 
 #include "chain/auction.hpp"
 #include "chain/chain.hpp"
 #include "chain/nft.hpp"
+#include "ledger/codec.hpp"
+#include "ledger/ledger.hpp"
+#include "ledger/wal.hpp"
 
 namespace zkdet::chain {
 namespace {
@@ -67,6 +73,65 @@ TEST_F(ChainFixture, ValueTransferEscrowsAndRefundsOnRevert) {
       nft.address());
   EXPECT_FALSE(r.success);
   EXPECT_EQ(chain.balance(alice), before);  // escrow rolled back
+}
+
+// A contract with public storage access, for tests that poke slots.
+struct Probe : Contract {
+  Probe() : Contract("Probe", 10) {}
+  using Contract::store;
+};
+
+// A reverted call rolls back whole: the slot it wrote before reverting
+// reaches neither contract storage nor the block delta the ledger
+// journals for the (failed, but included) tx.
+TEST_F(ChainFixture, RevertedCallLeavesNoPartialState) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("zkdet-chain-revert-" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  {
+    ledger::Ledger ledger(chain, dir.string());
+    Probe& probe = chain.deploy<Probe>(alice_keys, nullptr);
+    const std::uint64_t seq = ledger.wal_seq();
+    const Receipt r =
+        chain.call(alice_keys, "write-then-revert", [&](CallContext& ctx) {
+          probe.store().set(ctx, "k", Fr::from_u64(7));
+          ctx.require(false, "after the write");
+        });
+    EXPECT_FALSE(r.success);
+    EXPECT_EQ(probe.audit_store().peek("k"), std::nullopt);
+
+    const auto read = ledger.read_records_after(seq, 1, nullptr);
+    ASSERT_EQ(read.records.size(), 1u);
+    ledger::Reader rd{read.records[0].payload};
+    ASSERT_EQ(rd.u8(), ledger::kRecordBlock);
+    (void)rd.u64();  // record sequence
+    const Block block = ledger::read_block(rd);
+    const StateDelta delta = ledger::read_delta(rd);
+    ASSERT_EQ(block.txs.size(), 1u);
+    EXPECT_FALSE(block.txs[0].success);
+    EXPECT_TRUE(delta.slot_sets.empty());
+  }
+  std::filesystem::remove_all(dir);
+}
+
+// The escrow payment of a reverted call is rolled back even when the
+// contract already passed it on: every balance ends where it started.
+TEST_F(ChainFixture, SpentEscrowRevertRollsBackWhole) {
+  Probe& escrow = chain.deploy<Probe>(alice_keys, nullptr);
+  const Receipt r = chain.call(
+      alice_keys, "forward-then-revert",
+      [&](CallContext& ctx) {
+        ctx.chain().transfer(escrow.address(), bob, 100);
+        ctx.require(false, "after forwarding");
+      },
+      /*value=*/100, /*pay_to=*/escrow.address());
+  EXPECT_FALSE(r.success);
+  EXPECT_EQ(r.error.find("escrow refund failed"), std::string::npos)
+      << r.error;
+  EXPECT_EQ(chain.balance(alice), 1000u);
+  EXPECT_EQ(chain.balance(bob), 500u);
+  EXPECT_EQ(chain.balance(escrow.address()), 0u);
 }
 
 TEST_F(ChainFixture, OutOfGasHandled) {

@@ -1,5 +1,5 @@
-// Differential tests for the MSM overhaul: the signed-digit affine
-// bucket path, the retained full-Jacobian baseline, and the naive
+// Differential tests for the MSM: the signed-digit affine bucket path
+// (on Jacobian and on pre-normalized affine bases) and the naive
 // double-and-add reference must agree bit-for-bit on every input class
 // that has historically broken bucket MSMs (zero scalars, identity
 // bases, duplicate bases, scalars at the group order boundary, sizes
@@ -33,9 +33,6 @@ struct G1Api {
   static G1 run_affine(std::span<const Fr> s, std::span<const G1Affine> p) {
     return msm(s, p);
   }
-  static G1 run_jacobian(std::span<const Fr> s, std::span<const G1> p) {
-    return msm_jacobian(s, p);
-  }
   static G1 run_naive(std::span<const Fr> s, std::span<const G1> p) {
     return msm_naive(s, p);
   }
@@ -51,23 +48,18 @@ struct G2Api {
   static G2 run_affine(std::span<const Fr> s, std::span<const G2Affine> p) {
     return msm_g2(s, p);
   }
-  static G2 run_jacobian(std::span<const Fr> s, std::span<const G2> p) {
-    return msm_jacobian_g2(s, p);
-  }
   static G2 run_naive(std::span<const Fr> s, std::span<const G2> p) {
     return msm_naive_g2(s, p);
   }
 };
 
-// All four implementations on the same input must agree.
+// Every entry point on the same input must agree with the naive oracle.
 template <typename Api>
 void check_all_paths(const std::vector<Fr>& scalars,
                      const std::vector<typename Api::Jac>& points,
                      const char* what) {
   const auto expected = Api::run_naive(scalars, points);
   EXPECT_EQ(Api::run(scalars, points), expected) << what << " (msm)";
-  EXPECT_EQ(Api::run_jacobian(scalars, points), expected)
-      << what << " (jacobian baseline)";
   const auto affine = batch_normalize(
       std::span<const typename Api::Jac>(points));
   EXPECT_EQ(Api::run_affine(scalars, affine), expected)
@@ -108,7 +100,6 @@ TEST(MsmDifferential, G1AllZeroScalars) {
   std::vector<G1> points(64);
   for (auto& p : points) p = g1_mul_generator(random_field<Fr>(rng));
   EXPECT_EQ(msm(scalars, points), G1::identity());
-  EXPECT_EQ(msm_jacobian(scalars, points), G1::identity());
 }
 
 TEST(MsmDifferential, G1AllIdentityPoints) {
@@ -152,16 +143,20 @@ TEST(MsmWindowCap, BucketMemoryBoundHolds) {
 
 TEST(MsmWindowCap, LargeG2MsmStaysCorrectUnderCap) {
   // Large enough n that the uncapped heuristic would have picked a
-  // wider window; the capped choice must still be correct.
+  // wider window; the capped choice must still be correct. Bases are
+  // x_i * G, so the sum is (sum k_i * x_i) * G — a cheap exact oracle.
   constexpr std::size_t n = 3000;
   std::mt19937_64 rng(33);
   std::vector<Fr> scalars(n);
   std::vector<G2> points(n);
+  Fr exponent = Fr::zero();
   for (std::size_t i = 0; i < n; ++i) {
     scalars[i] = random_field<Fr>(rng);
-    points[i] = g2_mul_generator(random_field<Fr>(rng));
+    const Fr x = random_field<Fr>(rng);
+    points[i] = g2_mul_generator(x);
+    exponent += scalars[i] * x;
   }
-  EXPECT_EQ(msm_g2(scalars, points), msm_jacobian_g2(scalars, points));
+  EXPECT_EQ(msm_g2(scalars, points), g2_mul_generator(exponent));
 }
 
 // --- batch normalization ---------------------------------------------

@@ -31,6 +31,7 @@
 #include "crypto/schnorr.hpp"
 #include "fault/fault.hpp"
 #include "fault/points.hpp"
+#include "ledger/codec.hpp"
 #include "ledger/io.hpp"
 #include "ledger/ledger.hpp"
 #include "runtime/stats.hpp"
@@ -634,6 +635,53 @@ TEST(TxpoolCall, MixedPoolAndDirectCallsShareNonceStream) {
       w.chain.call(w.keys[0], "direct again", [](CallContext&) {}).success);
   EXPECT_EQ(w.chain.account_nonce(w.addrs[0]), 3u);
   EXPECT_TRUE(w.chain.validate_chain());
+}
+
+// Chain::call is a serial batch of one, so a direct call and an
+// undeclared pooled call are the same transaction: the same sequence (a
+// success, a value transfer, a revert that carries value and wrote a
+// slot) seals identical blocks and identical WAL bytes on either path.
+TEST(TxpoolCall, DirectAndPooledCallsSealIdenticalBytes) {
+  struct Sealed {
+    std::vector<std::vector<std::uint8_t>> blocks;
+    std::vector<std::uint8_t> wal;
+  };
+  const auto run = [](bool pooled) {
+    TempDir dir;
+    World w(dir.str());
+    Counter* c = w.counter;
+    const chain::Address escrow = c->address();
+    const auto send = [&](const std::string& desc,
+                          const std::function<void(CallContext&)>& fn,
+                          std::uint64_t value) {
+      const chain::Address pay_to = value > 0 ? escrow : chain::Address{};
+      return pooled ? w.pool->call(w.keys[1], desc, fn, {}, value, pay_to)
+                    : w.chain.call(w.keys[1], desc, fn, value, pay_to);
+    };
+    EXPECT_TRUE(
+        send("bump", [c](CallContext& ctx) { c->add(ctx, "x", 1); }, 0)
+            .success);
+    EXPECT_TRUE(send("pay", [](CallContext&) {}, 250).success);
+    EXPECT_FALSE(send(
+                     "pay, write, revert",
+                     [c](CallContext& ctx) {
+                       c->add(ctx, "x", 5);
+                       ctx.require(false, "refused");
+                     },
+                     100)
+                     .success);
+    Sealed out;
+    for (const auto& b : w.chain.blocks()) {
+      out.blocks.push_back(ledger::encode_block(b));
+    }
+    w.ledger->sync();
+    out.wal = wal_bytes(dir.path);
+    return out;
+  };
+  const Sealed direct = run(false);
+  const Sealed pooled = run(true);
+  EXPECT_EQ(direct.blocks, pooled.blocks) << "blocks diverged";
+  EXPECT_EQ(direct.wal, pooled.wal) << "WAL bytes diverged";
 }
 
 // Regression test for the nonce-map data race found by the lock
