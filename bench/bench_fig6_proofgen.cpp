@@ -141,7 +141,7 @@ int main() {
       runtime::ProverService svc(srs);
       svc.keys_for("pi_e/sweep", *scs);  // preprocessing paid once, up front
       Stopwatch sw;
-      std::vector<std::future<std::optional<plonk::Proof>>> futures;
+      std::vector<std::future<runtime::ProveOutcome>> futures;
       futures.reserve(kSweepJobs);
       for (std::size_t j = 0; j < kSweepJobs; ++j) {
         runtime::ProofJob job;
@@ -153,7 +153,7 @@ int main() {
       }
       std::size_t ok = 0;
       for (auto& f : futures) {
-        if (f.get()) ++ok;
+        if (f.get().proof) ++ok;
       }
       const double secs = sw.seconds();
       const double pps = static_cast<double>(ok) / secs;

@@ -44,7 +44,7 @@ analysis tooling"):
   unbatched-verify         no inline plonk::verify() on settlement
                            paths (src/chain, src/core) — on-chain proof
                            checks ride the batched claim pipeline
-                           (ProverService::batch_verify folding one
+                           (plonk::batch_verify_attributed folding one
                            pairing product per sealed block); reviewed
                            off-chain/fallback sites are annotated.
   unchecked-io             two-sided durability hygiene: outside
@@ -72,6 +72,12 @@ analysis tooling"):
                            rpc::Client / replication::Link, so the CRC
                            framing, non-blocking discipline and rpc.*
                            fail-points can't be bypassed.
+  env-knob                 no getenv() in src/ outside the reviewed,
+                           documented environment knobs (ZKDET_THREADS,
+                           ZKDET_FAULTS, ...), each annotated at its one
+                           read site: configuration is an explicit
+                           constructor argument, so a knob nothing sets
+                           cannot creep back in.
 
 Suppression: append  // zkdet-lint: allow(<rule>)  to the offending
 line (or the line above) after review.
@@ -164,7 +170,7 @@ RULES = [
         r"\bwhile\s*\(\s*(?:true|1)\s*\)|\bfor\s*\(\s*;\s*;\s*\)",
         _in(("src/",)),
         "bound retry/polling loops with an explicit attempt cap (e.g. "
-        "runtime::RetryPolicy, ExchangeDriver::Config::max_attempts); "
+        "runtime::BackoffPolicy, ExchangeDriver::Config::max_attempts); "
         "annotate reviewed scheduler/sampling loops",
     ),
     Rule(
@@ -211,7 +217,7 @@ RULES = [
         r"\bplonk::verify\s*\(",
         _in(("src/chain/", "src/core/")),
         "settlement-path proofs verify through the batched claim "
-        "pipeline (chain/claim.hpp + ProverService::batch_verify); "
+        "pipeline (chain/claim.hpp + plonk::batch_verify_attributed); "
         "annotate reviewed off-chain or fallback sites with "
         "// zkdet-lint: allow(unbatched-verify)",
     ),
@@ -297,6 +303,18 @@ RULES = [
         "(Clang thread-safety capability + lockdep level from "
         "check/lock_order.hpp); annotate reviewed exceptions with "
         "// zkdet-lint: allow(raw-mutex)",
+    ),
+    Rule(
+        # Every environment knob is an undeclared input to the program.
+        # The reviewed ones (documented in README) carry an annotation at
+        # their single read site; anything else is a constructor
+        # argument or config field.
+        "env-knob",
+        r"(?<![\w.>])(?:std::)?(?:secure_)?getenv\s*\(",
+        _in(("src/",)),
+        "pass configuration explicitly (constructor argument or Config "
+        "field); annotate a reviewed, documented knob with "
+        "// zkdet-lint: allow(env-knob)",
     ),
 ]
 
@@ -524,6 +542,19 @@ SELF_TEST_CASES = [
     ("src/runtime/mutex_allow_prev_ok.cpp",
      "// zkdet-lint: allow(raw-mutex)\nstd::mutex legacy_;\n", None),
     ("tests/test_threads_ok.cpp", "std::mutex m;\n", None),  # out of scope
+    # env-knob: getenv in src/ only at annotated, reviewed knob sites.
+    ("src/txpool/env_knob.cpp",
+     'const char* v = std::getenv("ZKDET_TXPOOL_BATCH");\n', "env-knob"),
+    ("src/core/env_knob_bare.cpp",
+     'if (const char* v = getenv("ZKDET_X")) use(v);\n', "env-knob"),
+    ("src/runtime/env_knob_allow_ok.cpp",
+     'const char* v = std::getenv("ZKDET_THREADS");'
+     "  // zkdet-lint: allow(env-knob)\n", None),
+    ("src/core/env_prose_ok.cpp",
+     "// reads ZKDET_DATA_DIR via std::getenv() at start-up\n", None),
+    ("tests/test_env_ok.cpp",
+     'const char* v = std::getenv("ZKDET_CHAOS_SEEDS");\n',
+     None),  # out of scope
 ]
 
 

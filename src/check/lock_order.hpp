@@ -37,7 +37,10 @@
 //                                            (-> kFault) under it
 //   StorageNetwork (kStorage)                repair/quarantine paths
 //   SRS affine cache (kSrsCache)             lazy batch normalization
-//   ProverService cache (kProverCache)       LRU + in-flight dedup
+//   ProverService cache (kProverCache)       one key map, ready and
+//                                            in-flight entries; taken on
+//                                            every key lookup, never held
+//                                            while preprocessing
 //   Thread pool queues (kPoolQueue)
 //     -> sleep/wake latch (kPoolSleep)       pop() notifies under queue
 //   parallel_for region (kPoolRegion)
@@ -69,7 +72,7 @@ enum class LockLevel : std::uint16_t {
   kReplLink = 35,      // replication::InMemoryLink mu_ (datagram queues)
   kStorage = 40,       // storage::StorageNetwork m_
   kSrsCache = 45,      // plonk::Srs affine-table publication
-  kProverCache = 50,   // runtime::ProverService m_ (LRU + in-flight)
+  kProverCache = 50,   // runtime::ProverService m_ (key map)
   kPoolQueue = 60,     // runtime thread-pool per-worker deques
   kPoolSleep = 62,     // runtime thread-pool sleep/wake latch
   kPoolRegion = 64,    // runtime parallel_for completion latch

@@ -151,18 +151,15 @@ bool KeySecureExchange::settle(const crypto::KeyPair& seller,
   if (!intent) return false;
   auto res = sys_.pool().submit(std::move(*intent));
   if (!res.accepted) return false;
-  auto& pool = sys_.pool();
-  std::size_t rounds = pool.pending() + 2;
-  while (!res.ticket->done() && rounds-- > 0) {
-    if (pool.seal_next_batch() == 0 && !res.ticket->done()) break;
-  }
+  sys_.pool().await({&res.ticket, 1});
   return res.ticket->done() && res.ticket->receipt.success;
 }
 
 std::vector<bool> KeySecureExchange::settle_batch(
     std::span<const SettleRequest> requests) {
   std::vector<bool> ok(requests.size(), false);
-  std::vector<std::pair<std::size_t, txpool::TicketPtr>> tickets;
+  std::vector<std::size_t> index;  // request index of tickets[j]
+  std::vector<txpool::TicketPtr> tickets;
   auto& pool = sys_.pool();
   for (std::size_t i = 0; i < requests.size(); ++i) {
     const SettleRequest& rq = requests[i];
@@ -175,25 +172,15 @@ std::vector<bool> KeySecureExchange::settle_batch(
     if (!intent) continue;
     auto res = pool.submit(std::move(*intent));
     if (!res.accepted) continue;
-    tickets.emplace_back(i, std::move(res.ticket));
+    index.push_back(i);
+    tickets.push_back(std::move(res.ticket));
   }
   // Pump to completion: conflict-free settles (distinct sellers on
   // distinct shards) seal together and share one folded pairing check;
-  // conflicting ones spill into follow-up batches. Bounded like
-  // TxPool::call — every productive pump shrinks the pool.
-  std::size_t rounds = pool.pending() + 2;
-  const auto all_done = [&] {
-    for (const auto& [i, t] : tickets) {
-      (void)i;
-      if (!t->done()) return false;
-    }
-    return true;
-  };
-  while (!all_done() && rounds-- > 0) {
-    if (pool.seal_next_batch() == 0 && !all_done()) break;
-  }
-  for (const auto& [i, t] : tickets) {
-    ok[i] = t->done() && t->receipt.success;
+  // conflicting ones spill into follow-up batches.
+  pool.await(tickets);
+  for (std::size_t j = 0; j < tickets.size(); ++j) {
+    ok[index[j]] = tickets[j]->done() && tickets[j]->receipt.success;
   }
   return ok;
 }
@@ -335,7 +322,8 @@ bool ZkcpExchange::open(const crypto::KeyPair& seller, const OwnedAsset& asset,
 std::vector<bool> ZkcpExchange::open_batch(
     std::span<const OpenRequest> requests) {
   std::vector<bool> ok(requests.size(), false);
-  std::vector<std::pair<std::size_t, txpool::TicketPtr>> tickets;
+  std::vector<std::size_t> index;  // request index of tickets[j]
+  std::vector<txpool::TicketPtr> tickets;
   auto& pool = sys_.pool();
   auto& arb = sys_.zkcp_arbiter();
   for (std::size_t i = 0; i < requests.size(); ++i) {
@@ -353,21 +341,12 @@ std::vector<bool> ZkcpExchange::open_batch(
         open_access(*rq.seller, rq.exchange_id));
     auto res = pool.submit(std::move(intent));
     if (!res.accepted) continue;
-    tickets.emplace_back(i, std::move(res.ticket));
+    index.push_back(i);
+    tickets.push_back(std::move(res.ticket));
   }
-  std::size_t rounds = pool.pending() + 2;
-  const auto all_done = [&] {
-    for (const auto& [i, t] : tickets) {
-      (void)i;
-      if (!t->done()) return false;
-    }
-    return true;
-  };
-  while (!all_done() && rounds-- > 0) {
-    if (pool.seal_next_batch() == 0 && !all_done()) break;
-  }
-  for (const auto& [i, t] : tickets) {
-    ok[i] = t->done() && t->receipt.success;
+  pool.await(tickets);
+  for (std::size_t j = 0; j < tickets.size(); ++j) {
+    ok[index[j]] = tickets[j]->done() && tickets[j]->receipt.success;
   }
   return ok;
 }

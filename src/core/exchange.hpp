@@ -14,7 +14,7 @@
 // settlement reveals k on-chain; everyone can then decrypt the public
 // ciphertext. Implemented to demonstrate the flaw and as the Fig. 7
 // comparison baseline (its Groth16-style verification carries an
-// ell-term G1 MSM + 3 pairings; see Groth16CostVerifier).
+// ell-term G1 MSM + 3 pairings; see plonk::groth16::verify).
 #pragma once
 
 #include <span>

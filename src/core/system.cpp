@@ -1,28 +1,12 @@
 #include "core/system.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 #include <stdexcept>
 
 #include "core/circuits.hpp"
 
 namespace zkdet::core {
-
-namespace {
-
-std::size_t shard_count(std::size_t requested) {
-  if (requested > 0) return requested;
-  // NOLINTNEXTLINE(concurrency-mt-unsafe): read once at system start-up
-  if (const char* env = std::getenv("ZKDET_ARBITER_SHARDS")) {
-    char* end = nullptr;
-    const unsigned long long n = std::strtoull(env, &end, 10);
-    if (end != env && *end == '\0' && n > 0) {
-      return static_cast<std::size_t>(n);
-    }
-  }
-  return 1;
-}
-
-}  // namespace
 
 ZkdetSystem::ZkdetSystem(std::size_t max_constraints, std::uint64_t seed,
                          const std::string& data_dir,
@@ -36,7 +20,8 @@ ZkdetSystem::ZkdetSystem(std::size_t max_constraints, std::uint64_t seed,
   std::string dir = data_dir;
   if (dir.empty()) {
     // NOLINTNEXTLINE(concurrency-mt-unsafe): read once at system start-up
-    if (const char* env = std::getenv("ZKDET_DATA_DIR")) dir = env;
+    const char* env = std::getenv("ZKDET_DATA_DIR");  // zkdet-lint: allow(env-knob)
+    if (env != nullptr) dir = env;
   }
   // Attach durability before any chain activity: the account credit and
   // the deploys below are journaled (fresh directory) or replayed
@@ -45,8 +30,8 @@ ZkdetSystem::ZkdetSystem(std::size_t max_constraints, std::uint64_t seed,
   if (!dir.empty()) {
     ledger_ = std::make_unique<ledger::Ledger>(chain_, dir, ledger_opts);
     // NOLINTNEXTLINE(concurrency-mt-unsafe): read once at system start-up
-    const std::size_t n_replicas =
-        replication::parse_replica_count(std::getenv("ZKDET_REPLICAS"));
+    const char* env = std::getenv("ZKDET_REPLICAS");  // zkdet-lint: allow(env-knob)
+    const std::size_t n_replicas = replication::parse_replica_count(env);
     if (n_replicas > 0) {
       replicas_ = std::make_unique<replication::ReplicaSet>(
           *ledger_, chain_, dir + "/replicas", n_replicas);
@@ -64,7 +49,7 @@ ZkdetSystem::ZkdetSystem(std::size_t max_constraints, std::uint64_t seed,
   const auto& keys = keys_for("pi_k", kb.cs());
   key_verifier_ = &chain_.deploy<chain::PlonkVerifierContract>(
       operator_keys_, nullptr, keys.vk, "PlonkVerifier(pi_k)");
-  const std::size_t n_shards = shard_count(arbiter_shards);
+  const std::size_t n_shards = std::max<std::size_t>(1, arbiter_shards);
   shards_.reserve(n_shards);
   for (std::size_t s = 0; s < n_shards; ++s) {
     shards_.push_back(&chain_.deploy<chain::KeySecureArbiter>(
@@ -101,41 +86,39 @@ std::optional<chain::ExchangeInfo> ZkdetSystem::find_exchange_by_hv(
 
 const plonk::KeyPairResult& ZkdetSystem::keys_for(
     const std::string& shape_id, const plonk::ConstraintSystem& cs) {
-  const auto it = key_pins_.find(shape_id);
-  if (it != key_pins_.end()) return *it->second;
-  auto keys = prover_.keys_for(shape_id, cs);
+  const auto keys = prover_.keys_for(shape_id, cs);
   if (!keys) {
     throw std::runtime_error("SRS too small for circuit shape " + shape_id +
                              " (domain " + std::to_string(cs.domain_size()) +
                              ")");
   }
-  return *key_pins_.emplace(shape_id, std::move(keys)).first->second;
+  return *keys;
 }
 
 const plonk::KeyPairResult* ZkdetSystem::find_keys(
     const std::string& shape_id) const {
-  const auto it = key_pins_.find(shape_id);
-  if (it != key_pins_.end()) return it->second.get();
-  // Preprocessed through the service but not yet pinned (e.g. by a
-  // worker running a proof job): pin now so the pointer stays valid.
-  auto keys = prover_.find_keys(shape_id);
-  if (!keys) return nullptr;
-  return key_pins_.emplace(shape_id, std::move(keys)).first->second.get();
+  return prover_.find_keys(shape_id).get();
 }
 
-std::optional<plonk::Proof> ZkdetSystem::prove(
-    const std::string& shape_id, const plonk::ConstraintSystem& cs,
-    std::vector<ff::Fr> witness) {
-  keys_for(shape_id, cs);  // preprocess + pin on the caller's thread
+runtime::ProofJob ZkdetSystem::proof_job(const std::string& shape_id,
+                                         const plonk::ConstraintSystem& cs,
+                                         std::vector<ff::Fr> witness) {
+  keys_for(shape_id, cs);  // preprocess on the caller's thread
   runtime::ProofJob job;
   job.circuit_id = shape_id;
   job.cs = std::make_shared<const plonk::ConstraintSystem>(cs);
   job.witness = std::move(witness);
   job.rng = crypto::Drbg("zkdet-proof-job", rng_());
+  return job;
+}
+
+std::optional<plonk::Proof> ZkdetSystem::prove(
+    const std::string& shape_id, const plonk::ConstraintSystem& cs,
+    std::vector<ff::Fr> witness) {
   // Bounded retry: a worker crash (prover.job fail-point) is retried
   // with the same job — same blinder rng, so the recovered proof is
   // byte-identical to what the crashed attempt would have produced.
-  return prover_.prove_with_retry(job).proof;
+  return prover_.prove(proof_job(shape_id, cs, std::move(witness))).proof;
 }
 
 }  // namespace zkdet::core

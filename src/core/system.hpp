@@ -7,7 +7,6 @@
 // Circom circuit once.
 #pragma once
 
-#include <map>
 #include <memory>
 #include <string>
 
@@ -38,10 +37,9 @@ class ZkdetSystem {
   // too, the chain stays memory-only (the pre-ledger behaviour).
   // `arbiter_shards`: number of KeySecureArbiter instances deployed;
   // token id t routes to shard t % S, and exchange ids stay globally
-  // unique (shard s issues s+1, s+1+S, ...). 0 consults
-  // ZKDET_ARBITER_SHARDS and falls back to 1 (single arbiter — the
-  // pre-sharding behavior). The count is part of the deploy sequence,
-  // so reopening a data_dir requires the same value.
+  // unique (shard s issues s+1, s+1+S, ...). 0 means 1 (single arbiter
+  // — the pre-sharding behavior). The count is part of the deploy
+  // sequence, so reopening a data_dir requires the same value.
   explicit ZkdetSystem(std::size_t max_constraints, std::uint64_t seed = 7,
                        const std::string& data_dir = {},
                        const ledger::Options& ledger_opts = {},
@@ -98,18 +96,24 @@ class ZkdetSystem {
   // Returns cached keys for `shape_id`, preprocessing `cs` on first use.
   // Different instances of the same logical circuit must produce
   // identical constraint systems (shape ids encode all size parameters).
-  // Keys returned here are pinned for the system's lifetime, so the
-  // reference stays valid even if the service's LRU later evicts.
+  // The service never evicts keys, so the reference stays valid for the
+  // system's lifetime. Throws when the SRS is too small for `cs`.
   const plonk::KeyPairResult& keys_for(const std::string& shape_id,
                                        const plonk::ConstraintSystem& cs);
   // Lookup-only variant for verifiers; nullptr if never preprocessed.
   [[nodiscard]] const plonk::KeyPairResult* find_keys(
       const std::string& shape_id) const;
 
-  // Proves `cs` under `witness` as a queued job on the shared pool
-  // (preprocessing + pinning the shape first). Each job gets its own
-  // blinder rng derived from the system rng at submission, so results
-  // are reproducible for a fixed system seed and call order.
+  // A proof job for `cs` under `witness`, its shape preprocessed on the
+  // caller's thread. Each job gets its own blinder rng derived from the
+  // system rng, so results are reproducible for a fixed system seed and
+  // call order.
+  runtime::ProofJob proof_job(const std::string& shape_id,
+                              const plonk::ConstraintSystem& cs,
+                              std::vector<ff::Fr> witness);
+
+  // Proves proof_job(shape_id, cs, witness) through the prover service,
+  // retrying injected worker crashes.
   std::optional<plonk::Proof> prove(const std::string& shape_id,
                                     const plonk::ConstraintSystem& cs,
                                     std::vector<ff::Fr> witness);
@@ -131,9 +135,6 @@ class ZkdetSystem {
   chain::PlonkVerifierContract* key_verifier_ = nullptr;
   std::vector<chain::KeySecureArbiter*> shards_;  // shards_[0] = arbiter()
   chain::ZkcpArbiter* zkcp_arbiter_ = nullptr;
-  // Lifetime pins for keys handed out by reference/pointer.
-  mutable std::map<std::string, std::shared_ptr<const plonk::KeyPairResult>>
-      key_pins_;
 };
 
 }  // namespace zkdet::core

@@ -206,7 +206,7 @@ std::size_t install_spec(const std::string& spec) {
 
 std::size_t install_from_env() {
   // NOLINTNEXTLINE(concurrency-mt-unsafe): read once before main()
-  const char* env = std::getenv("ZKDET_FAULTS");
+  const char* env = std::getenv("ZKDET_FAULTS");  // zkdet-lint: allow(env-knob)
   if (env == nullptr || *env == '\0') return 0;
   return install_spec(env);
 }

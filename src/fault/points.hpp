@@ -15,7 +15,7 @@
 //   chain.submit         a transaction is dropped before reaching the
 //                        sequencer (no block sealed, no state touched)
 //   prover.job           a proof job dies on its worker (simulated crash);
-//                        retried by ProverService::prove_with_retry
+//                        retried by ProverService::prove
 //   exchange.verify      buyer-side offer verification aborts
 //   exchange.lock        buyer client fails before issuing the lock tx
 //   exchange.crash_after_lock

@@ -825,6 +825,10 @@ BatchResult batch_verify_attributed(std::span<const BatchEntry> entries) {
       };
   for (const auto& g : groups) attribute(g);
 
+  runtime::counters::batch_verifications.fetch_add(1,
+                                                   std::memory_order_relaxed);
+  runtime::counters::proofs_verified.fetch_add(entries.size(),
+                                               std::memory_order_relaxed);
   runtime::counters::batch_fold_checks.fetch_add(out.pairing_checks,
                                                  std::memory_order_relaxed);
   runtime::counters::batch_entries_folded.fetch_add(entries.size(),

@@ -23,7 +23,7 @@ std::unique_ptr<Link> make_link(TransportKind kind) {
 TransportKind resolve_transport(TransportKind kind) {
   if (kind != TransportKind::kDefault) return kind;
   // NOLINTNEXTLINE(concurrency-mt-unsafe): read once at construction
-  const char* env = std::getenv("ZKDET_REPL_TRANSPORT");
+  const char* env = std::getenv("ZKDET_REPL_TRANSPORT");  // zkdet-lint: allow(env-knob)
   if (env != nullptr && std::strcmp(env, "socket") == 0) {
     return TransportKind::kSocket;
   }

@@ -13,7 +13,7 @@ namespace {
 
 std::size_t env_size(const char* name, std::size_t fallback) {
   // NOLINTNEXTLINE(concurrency-mt-unsafe): read once at construction
-  const char* env = std::getenv(name);
+  const char* env = std::getenv(name);  // zkdet-lint: allow(env-knob)
   if (env == nullptr || *env == '\0') return fallback;
   char* end = nullptr;
   const unsigned long long n = std::strtoull(env, &end, 10);

@@ -142,7 +142,7 @@ std::vector<Response> Dispatcher::run(std::span<const Request> requests) {
   };
   struct PendingProve {
     std::size_t index = 0;
-    std::future<std::optional<plonk::Proof>> fut;
+    std::future<runtime::ProveOutcome> fut;
   };
   std::vector<PendingTx> txs;
   std::vector<PendingProve> proves;
@@ -160,16 +160,12 @@ std::vector<Response> Dispatcher::run(std::span<const Request> requests) {
       }
       gadgets::CircuitBuilder bld =
           core::build_key_circuit(rq.frs[0], rq.frs[1], rq.frs[2]);
-      runtime::ProofJob job;
-      job.circuit_id = "pi_k";
-      job.cs = std::make_shared<const plonk::ConstraintSystem>(bld.cs());
-      job.witness = bld.witness();
-      // Same per-job rng derivation as ZkdetSystem::prove, so an RPC
-      // prove and an in-process prove at the same stream position yield
-      // byte-identical proofs.
-      job.rng = crypto::Drbg("zkdet-proof-job", sys_.rng()());
-      sys_.keys_for("pi_k", *job.cs);  // pin the shape before queueing
-      proves.push_back(PendingProve{i, sys_.prover().submit(std::move(job))});
+      // The same job ZkdetSystem::prove runs, so an RPC prove and an
+      // in-process prove at the same rng stream position yield
+      // byte-identical proofs. One attempt: no retry on this path.
+      proves.push_back(PendingProve{
+          i, sys_.prover().submit(
+                 sys_.proof_job("pi_k", bld.cs(), bld.witness()))});
       continue;
     }
     if (!is_tx_op(rq.op)) {
@@ -342,13 +338,13 @@ std::vector<Response> Dispatcher::run(std::span<const Request> requests) {
   // Phase 4: harvest the round's coalesced prove group.
   for (PendingProve& pend : proves) {
     const Request& rq = requests[pend.index];
-    auto proof = pend.fut.get();
-    if (!proof) {
+    const auto outcome = pend.fut.get();
+    if (!outcome.proof) {
       responses[pend.index] = reject(rq, "prover failed");
       continue;
     }
     Response rs = ok(rq);
-    rs.bytes = proof->to_bytes();
+    rs.bytes = outcome.proof->to_bytes();
     responses[pend.index] = std::move(rs);
   }
   if (!proves.empty()) {

@@ -1,6 +1,6 @@
 #include "runtime/prover_service.hpp"
 
-#include <algorithm>
+#include <chrono>
 
 #include "fault/fault.hpp"
 #include "fault/points.hpp"
@@ -19,57 +19,39 @@ const char* prove_error_name(ProveError e) {
   return "unknown";
 }
 
-ProverService::ProverService(const plonk::Srs& srs,
-                             std::size_t key_cache_capacity)
-    : srs_(srs), capacity_(std::max<std::size_t>(1, key_cache_capacity)) {
+ProverService::ProverService(const plonk::Srs& srs) : srs_(srs) {
   // Warm the SRS's batch-normalized affine power table here, alongside
   // the proving/verifying-key cache: it is normalized once per SRS (one
   // field inversion for the whole vector) and then shared by every
   // commit() of every job this service runs, instead of showing up as
   // latency inside the first proof.
-  srs_.g1_powers_affine();
+  (void)srs_.g1_powers_affine();
 }
 
 std::shared_ptr<const plonk::KeyPairResult> ProverService::keys_for(
     const std::string& circuit_id, const plonk::ConstraintSystem& cs) {
-  std::shared_future<KeyPtr> wait_on;
+  std::shared_future<KeyPtr> entry;
   std::promise<KeyPtr> mine;
   {
     const MutexLock lk(m_);
-    const auto it = index_.find(circuit_id);
-    if (it != index_.end()) {
+    const auto it = keys_.find(circuit_id);
+    if (it != keys_.end()) {
       counters::key_cache_hits.fetch_add(1, std::memory_order_relaxed);
-      lru_.splice(lru_.begin(), lru_, it->second);  // touch
-      return it->second->second;
-    }
-    const auto fl = inflight_.find(circuit_id);
-    if (fl != inflight_.end()) {
-      counters::key_cache_hits.fetch_add(1, std::memory_order_relaxed);
-      wait_on = fl->second;
+      entry = it->second;
     } else {
       counters::key_cache_misses.fetch_add(1, std::memory_order_relaxed);
-      inflight_.emplace(circuit_id, mine.get_future().share());
+      keys_.emplace(circuit_id, mine.get_future().share());
     }
   }
-  if (wait_on.valid()) return wait_on.get();
+  if (entry.valid()) return entry.get();  // ready, or wait for the owner
 
-  // We own the miss: preprocess outside the lock.
+  // We own the miss: preprocess outside the lock, then publish.
   KeyPtr keys;
   if (auto result = plonk::preprocess(cs, srs_)) {
     keys = std::make_shared<const plonk::KeyPairResult>(std::move(*result));
-  }
-  {
+  } else {
     const MutexLock lk(m_);
-    inflight_.erase(circuit_id);
-    if (keys) {
-      lru_.emplace_front(circuit_id, keys);
-      index_[circuit_id] = lru_.begin();
-      while (lru_.size() > capacity_) {
-        index_.erase(lru_.back().first);
-        lru_.pop_back();
-        counters::key_cache_evictions.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
+    keys_.erase(circuit_id);  // SRS too small: cache nothing
   }
   mine.set_value(keys);
   return keys;
@@ -78,11 +60,15 @@ std::shared_ptr<const plonk::KeyPairResult> ProverService::keys_for(
 std::shared_ptr<const plonk::KeyPairResult> ProverService::find_keys(
     const std::string& circuit_id) const {
   const MutexLock lk(m_);
-  const auto it = index_.find(circuit_id);
-  return it == index_.end() ? nullptr : it->second->second;
+  const auto it = keys_.find(circuit_id);
+  if (it == keys_.end() || it->second.wait_for(std::chrono::seconds(0)) !=
+                               std::future_status::ready) {
+    return nullptr;
+  }
+  return it->second.get();
 }
 
-std::future<ProveOutcome> ProverService::submit_typed(ProofJob job) {
+std::future<ProveOutcome> ProverService::submit(ProofJob job) {
   counters::jobs_submitted.fetch_add(1, std::memory_order_relaxed);
   auto run = [this, job = std::move(job)]() mutable -> ProveOutcome {
     ProveOutcome out;
@@ -115,27 +101,14 @@ std::future<ProveOutcome> ProverService::submit_typed(ProofJob job) {
   return fut;
 }
 
-std::future<std::optional<plonk::Proof>> ProverService::submit(ProofJob job) {
-  // Untyped view of submit_typed for callers that only need the proof.
-  auto typed = std::make_shared<std::future<ProveOutcome>>(
-      submit_typed(std::move(job)));
-  return std::async(std::launch::deferred, [typed] {
-    return typed->get().proof;
-  });
-}
-
-std::optional<plonk::Proof> ProverService::prove(ProofJob job) {
-  return submit_typed(std::move(job)).get().proof;
-}
-
-ProveOutcome ProverService::prove_with_retry(const ProofJob& job,
-                                             RetryPolicy policy) {
+ProveOutcome ProverService::prove(const ProofJob& job,
+                                  BackoffPolicy policy) {
   // Bounded by construction: Backoff grants at most max_attempts and
   // records a deterministic jittered delay per retry (never slept).
-  Backoff backoff(policy.backoff());
+  Backoff backoff(policy);
   ProveOutcome out;
   while (backoff.next_attempt()) {
-    ProveOutcome step = submit_typed(job).get();  // job copied per attempt
+    ProveOutcome step = submit(job).get();  // job copied per attempt
     out.proof = std::move(step.proof);
     out.error = step.error;
     out.attempts += step.attempts;
@@ -143,24 +116,6 @@ ProveOutcome ProverService::prove_with_retry(const ProofJob& job,
   }
   out.backoff_us = backoff.total_delay_us();
   return out;
-}
-
-bool ProverService::batch_verify(std::span<const plonk::BatchEntry> entries) {
-  return batch_verify_attributed(entries).all_ok();
-}
-
-plonk::BatchResult ProverService::batch_verify_attributed(
-    std::span<const plonk::BatchEntry> entries) {
-  counters::batch_verifications.fetch_add(1, std::memory_order_relaxed);
-  counters::proofs_verified.fetch_add(entries.size(),
-                                      std::memory_order_relaxed);
-  ScopedTimer timer(counters::verify_ns);
-  return plonk::batch_verify_attributed(entries);
-}
-
-std::size_t ProverService::key_cache_size() const {
-  const MutexLock lk(m_);
-  return lru_.size();
 }
 
 }  // namespace zkdet::runtime

@@ -1,9 +1,10 @@
 // Asynchronous proof-job service with a proving/verifying-key cache.
 //
 // ProverService turns plonk::prove into a queued job: submit() enqueues
-// the job on the shared ThreadPool and returns a future; the expensive
-// per-circuit preprocessing (SRS-sized selector/sigma commitments) is
-// paid once per circuit id and cached in an LRU, so a marketplace
+// the job on the shared ThreadPool and returns a future; prove() waits
+// for it, retrying injected worker crashes. The expensive per-circuit
+// preprocessing (SRS-sized selector/sigma commitments) is paid once per
+// circuit id and kept for the service's lifetime, so a marketplace
 // serving many proofs over a few circuit shapes amortizes setup the way
 // the paper's deployment compiles each Circom circuit once. The SRS's
 // batch-normalized affine power table (the base vector of every
@@ -14,18 +15,11 @@
 // stream consumed by a proof is a function of the job alone — the same
 // (circuit, witness, rng seed) yields byte-identical proofs at any
 // worker count (tests/test_runtime.cpp asserts this at 1/2/8).
-//
-// batch_verify() shares the pairing-side work across proofs: each proof
-// reduces to one KZG pairing check e(L_i, [tau]_2) * e(-R_i, [1]_2) = 1;
-// a random linear combination collapses N such checks into a single
-// 2-pairing product (2 pairings total instead of 2N).
 #pragma once
 
 #include <future>
-#include <list>
 #include <memory>
 #include <optional>
-#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -71,90 +65,46 @@ struct ProveOutcome {
   std::uint64_t backoff_us = 0;
 };
 
-// Bounded retry policy for transient job failures, realized by
-// runtime::Backoff: jittered exponential delays, deterministic under
-// `jitter_seed`, and always virtual (recorded, not slept): the
-// in-process substrate has no network to wait out, and sleeping would
-// only slow tests; see DESIGN.md.
-struct RetryPolicy {
-  int max_attempts = 3;
-  std::uint64_t base_delay_us = 100;
-  std::uint64_t max_delay_us = 100'000;
-  std::uint64_t jitter_seed = 0;
-
-  [[nodiscard]] BackoffPolicy backoff() const {
-    BackoffPolicy p;
-    p.max_attempts = max_attempts;
-    p.base_delay_us = base_delay_us;
-    p.max_delay_us = max_delay_us;
-    p.seed = jitter_seed;
-    return p;
-  }
-};
-
 class ProverService {
  public:
-  // `srs` must outlive the service. `key_cache_capacity` bounds the
-  // number of cached per-circuit key pairs (LRU eviction).
-  explicit ProverService(const plonk::Srs& srs,
-                         std::size_t key_cache_capacity = 128);
+  // `srs` must outlive the service.
+  explicit ProverService(const plonk::Srs& srs);
 
-  // Returns the cached keys for `circuit_id`, preprocessing `cs` on
-  // first use. Concurrent misses for the same id deduplicate: one
-  // caller preprocesses, the rest wait on its result. Returns nullptr
-  // when the SRS is too small for the circuit.
+  // Returns the keys for `circuit_id`, preprocessing `cs` on first use.
+  // Concurrent misses for the same id deduplicate: one caller
+  // preprocesses, the rest wait on its result. Keys are never evicted,
+  // so the returned pointer stays valid for the service's lifetime.
+  // Returns nullptr (and caches nothing) when the SRS is too small for
+  // the circuit.
   std::shared_ptr<const plonk::KeyPairResult> keys_for(
       const std::string& circuit_id, const plonk::ConstraintSystem& cs);
 
-  // Lookup-only (no preprocessing, no LRU touch); nullptr when absent.
+  // Lookup-only: nullptr when absent or still being preprocessed.
   [[nodiscard]] std::shared_ptr<const plonk::KeyPairResult> find_keys(
       const std::string& circuit_id) const;
 
-  // Enqueues the job on the shared ThreadPool. The future resolves to
-  // nullopt when the witness does not satisfy the circuit or the SRS is
-  // too small. Runs inline when the pool is single-threaded or the
-  // caller is itself a pool worker (a blocking wait there would starve
-  // the pool).
-  std::future<std::optional<plonk::Proof>> submit(ProofJob job);
+  // Enqueues one attempt of the job on the shared ThreadPool. The
+  // outcome's error distinguishes a transient failure (injected fault)
+  // from a permanent one. Runs inline when the pool is single-threaded
+  // or the caller is itself a pool worker (a blocking wait there would
+  // starve the pool).
+  std::future<ProveOutcome> submit(ProofJob job);
 
-  // Typed variant: the future resolves to a ProveOutcome whose error
-  // distinguishes transient (injected fault) from permanent failures.
-  std::future<ProveOutcome> submit_typed(ProofJob job);
-
-  // submit() + wait.
-  std::optional<plonk::Proof> prove(ProofJob job);
-
-  // submit_typed() + wait, retrying transient failures up to
+  // submit() + wait, retrying transient failures up to
   // policy.max_attempts total attempts. Permanent errors (bad witness,
   // SRS too small) return immediately. The returned outcome is always
   // conclusive: a proof, or a typed error after the attempt budget.
-  ProveOutcome prove_with_retry(const ProofJob& job, RetryPolicy policy = {});
-
-  // Verifies all (vk, publics, proof) triples with one shared pairing
-  // product per SRS group. Empty input verifies trivially.
-  static bool batch_verify(std::span<const plonk::BatchEntry> entries);
-
-  // Attributed variant: per-entry verdicts with fold-failure bisection,
-  // so one forged proof no longer rejects (or DoSes) the whole batch.
-  static plonk::BatchResult batch_verify_attributed(
-      std::span<const plonk::BatchEntry> entries);
-
-  [[nodiscard]] std::size_t key_cache_size() const;
-  [[nodiscard]] std::size_t key_cache_capacity() const { return capacity_; }
+  ProveOutcome prove(const ProofJob& job, BackoffPolicy policy = {});
 
  private:
   using KeyPtr = std::shared_ptr<const plonk::KeyPairResult>;
 
   const plonk::Srs& srs_;
-  const std::size_t capacity_;
 
   mutable Mutex m_{check::LockLevel::kProverCache, "prover.key-cache"};
-  // LRU: front = most recently used.
-  std::list<std::pair<std::string, KeyPtr>> lru_ ZKDET_GUARDED_BY(m_);
-  std::unordered_map<std::string, std::list<std::pair<std::string, KeyPtr>>::iterator>
-      index_ ZKDET_GUARDED_BY(m_);
-  // De-duplicates concurrent preprocessing of the same circuit id.
-  std::unordered_map<std::string, std::shared_future<KeyPtr>> inflight_
+  // One entry per circuit id: ready once its preprocessing published,
+  // pending while the first caller for the id still preprocesses.
+  std::unordered_map<std::string, std::shared_future<KeyPtr>> keys_
       ZKDET_GUARDED_BY(m_);
 };
 

@@ -21,14 +21,13 @@
   X(jobs_submitted)                                                          \
   X(jobs_completed)                                                          \
   X(jobs_failed)                                                             \
-  /* Proving/verifying-key LRU cache. */                                     \
+  /* ProverService proving/verifying-key cache. */                           \
   X(key_cache_hits)                                                          \
   X(key_cache_misses)                                                        \
-  X(key_cache_evictions)                                                     \
-  /* Batch verification. */                                                  \
+  X(key_cache_evictions)      /* always 0: keys are never evicted */         \
+  /* Attributed batch verification (plonk::batch_verify_attributed). */      \
   X(proofs_verified)                                                         \
   X(batch_verifications)                                                     \
-  /* Attributed batch verification (plonk::batch_verify_attributed). */      \
   X(batch_fold_checks)        /* pairing products evaluated */               \
   X(batch_entries_folded)     /* entries processed */                        \
   X(batch_invalid_attributed) /* entries attributed invalid */               \

@@ -19,7 +19,7 @@ thread_local std::ptrdiff_t tl_worker_index = -1;
 
 std::size_t default_total_threads() {
   // NOLINTNEXTLINE(concurrency-mt-unsafe): read once at pool start-up
-  if (const char* env = std::getenv("ZKDET_THREADS")) {
+  if (const char* env = std::getenv("ZKDET_THREADS")) {  // zkdet-lint: allow(env-knob)
     char* end = nullptr;
     const long v = std::strtol(env, &end, 10);
     if (end != env && *end == '\0' && v >= 1) {

@@ -1,33 +1,12 @@
 #include "txpool/txpool.hpp"
 
-#include <cstdlib>
+#include <algorithm>
 
 #include "fault/fault.hpp"
 #include "fault/points.hpp"
 #include "runtime/stats.hpp"
 
 namespace zkdet::txpool {
-
-namespace {
-
-std::size_t env_size(const char* name, std::size_t fallback) {
-  // NOLINTNEXTLINE(concurrency-mt-unsafe): read once at construction
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  char* end = nullptr;
-  const unsigned long long n = std::strtoull(v, &end, 10);
-  if (end == v || *end != '\0' || n == 0) return fallback;
-  return static_cast<std::size_t>(n);
-}
-
-}  // namespace
-
-Config Config::from_env() {
-  Config cfg;
-  cfg.capacity = env_size("ZKDET_TXPOOL_CAPACITY", cfg.capacity);
-  cfg.max_batch = env_size("ZKDET_TXPOOL_BATCH", cfg.max_batch);
-  return cfg;
-}
 
 TxIntent make_intent(const crypto::KeyPair& sender, std::uint64_t nonce,
                      std::string description,
@@ -170,6 +149,17 @@ std::size_t TxPool::drain() {
   }
 }
 
+void TxPool::await(std::span<const TicketPtr> tickets) {
+  const auto all_done = [&] {
+    return std::all_of(tickets.begin(), tickets.end(),
+                       [](const TicketPtr& t) { return t->done(); });
+  };
+  std::size_t rounds = pending() + 2;
+  while (!all_done() && rounds-- > 0) {
+    if (seal_next_batch() == 0 && !all_done()) break;
+  }
+}
+
 chain::Receipt TxPool::call(const crypto::KeyPair& sender,
                             const std::string& description,
                             const std::function<void(chain::CallContext&)>& fn,
@@ -186,13 +176,7 @@ chain::Receipt TxPool::call(const crypto::KeyPair& sender,
     r.error = std::move(res.error);
     return r;
   }
-  // Pump until our ticket resolves. Bounded: every productive pump
-  // shrinks the pool, so pending() + 2 rounds suffice unless the tx is
-  // permanently unschedulable (nonce gap from a lost predecessor).
-  std::size_t rounds = pending() + 2;
-  while (!res.ticket->done() && rounds-- > 0) {
-    if (seal_next_batch() == 0 && !res.ticket->done()) break;
-  }
+  await({&res.ticket, 1});
   if (!res.ticket->done()) {
     chain::Receipt r;
     r.error = "txpool: tx not schedulable (nonce gap)";

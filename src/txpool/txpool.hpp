@@ -9,13 +9,10 @@
 // order, and the batch seals as ONE block. The pool owns no threads
 // (src/runtime holds the only thread primitives in the tree), so
 // determinism and shutdown are trivial: no pump, no progress.
-//
-// Knobs (read once at construction via Config::from_env):
-//   ZKDET_TXPOOL_CAPACITY   mempool admission bound   (default 65536)
-//   ZKDET_TXPOOL_BATCH      max txs per sealed block  (default 128)
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 
 #include "chain/chain.hpp"
@@ -27,19 +24,17 @@
 namespace zkdet::txpool {
 
 struct Config {
-  std::size_t capacity = 65536;
-  std::size_t max_batch = 128;
+  std::size_t capacity = 65536;  // mempool admission bound
+  std::size_t max_batch = 128;   // max txs per sealed block
   // Run batch stages concurrently on the runtime pool. Off = the serial
   // baseline, byte-identical to parallel execution by construction
   // (benches and determinism tests diff the two).
   bool parallel = true;
-
-  [[nodiscard]] static Config from_env();
 };
 
 class TxPool {
  public:
-  explicit TxPool(chain::Chain& chain, Config cfg = Config::from_env());
+  explicit TxPool(chain::Chain& chain, Config cfg = {});
 
   // Thread-safe admission. The kChainSubmit and kTxpoolAdmitFull
   // fail-points can reject here (callers observe and retry).
@@ -50,6 +45,12 @@ class TxPool {
   std::size_t seal_next_batch();
   // Pumps until the pool stops making progress; returns txs sealed.
   std::size_t drain();
+  // Pumps until every ticket resolves, at most pending() + 2 rounds and
+  // no further than the first unproductive pump. Bounded: every
+  // productive pump shrinks the pool, so only a permanently
+  // unschedulable tx (nonce gap from a lost predecessor) stays
+  // unresolved; callers check done() on each ticket.
+  void await(std::span<const TicketPtr> tickets);
 
   // Synchronous pool-routed analogue of Chain::call: assigns the next
   // nonce, signs, submits, and pumps until the ticket resolves.

@@ -15,6 +15,8 @@
 #include "core/circuits.hpp"
 #include "crypto/rng.hpp"
 #include "ec/msm.hpp"
+#include "fault/fault.hpp"
+#include "fault/points.hpp"
 #include "ff/ntt.hpp"
 #include "plonk/plonk.hpp"
 #include "runtime/prover_service.hpp"
@@ -176,7 +178,7 @@ TEST_F(RuntimeTest, ProofsByteIdenticalAtOneTwoEightWorkers) {
     job.cs = std::make_shared<const plonk::ConstraintSystem>(bld.cs());
     job.witness = bld.witness();
     job.rng = crypto::Drbg(42);
-    const auto proof = svc.prove(std::move(job));
+    const auto proof = svc.prove(job).proof;
     ASSERT_TRUE(proof.has_value()) << "workers=" << workers;
     const auto keys = svc.find_keys("pi_k");
     ASSERT_NE(keys, nullptr);
@@ -199,7 +201,7 @@ TEST_F(RuntimeTest, StressThirtyTwoConcurrentJobs) {
   constexpr std::size_t kJobs = 32;
   std::vector<gadgets::CircuitBuilder> builders;
   builders.reserve(kJobs);
-  std::vector<std::future<std::optional<plonk::Proof>>> futures;
+  std::vector<std::future<runtime::ProveOutcome>> futures;
   futures.reserve(kJobs);
   for (std::size_t j = 0; j < kJobs; ++j) {
     // Two circuit ids, alternating: exercises both cache contention on a
@@ -214,7 +216,7 @@ TEST_F(RuntimeTest, StressThirtyTwoConcurrentJobs) {
     futures.push_back(svc.submit(std::move(job)));
   }
   for (std::size_t j = 0; j < kJobs; ++j) {
-    const auto proof = futures[j].get();
+    const auto proof = futures[j].get().proof;
     ASSERT_TRUE(proof.has_value()) << "job " << j;
     const auto keys =
         svc.find_keys((j % 2 == 0) ? "pi_k/even" : "pi_k/odd");
@@ -234,33 +236,81 @@ TEST_F(RuntimeTest, StressThirtyTwoConcurrentJobs) {
   EXPECT_EQ(s.key_cache_hits, kJobs - 2);
 }
 
-TEST_F(RuntimeTest, KeyCacheHitsMissesAndLruEviction) {
+TEST_F(RuntimeTest, KeyCacheHitsMissesAndLookups) {
   ThreadPool::instance().configure(1);
   runtime::reset_stats();
-  ProverService svc(srs(), /*key_cache_capacity=*/2);
+  ProverService svc(srs());
 
   const auto a = key_circuit(1, 2, 3);
   const auto b = key_circuit(4, 5, 6);
   const auto c = key_circuit(7, 8, 9);
 
-  EXPECT_NE(svc.keys_for("a", a.cs()), nullptr);  // miss
-  EXPECT_NE(svc.keys_for("a", a.cs()), nullptr);  // hit
+  EXPECT_EQ(svc.find_keys("a"), nullptr);  // lookups never preprocess
+  const auto keys_a = svc.keys_for("a", a.cs());  // miss
+  EXPECT_NE(keys_a, nullptr);
+  EXPECT_EQ(svc.keys_for("a", a.cs()), keys_a);  // hit: the same keys
   EXPECT_NE(svc.keys_for("b", b.cs()), nullptr);  // miss
-  EXPECT_NE(svc.keys_for("c", c.cs()), nullptr);  // miss -> evicts "a"
+  EXPECT_NE(svc.keys_for("c", c.cs()), nullptr);  // miss
 
-  EXPECT_EQ(svc.key_cache_size(), 2u);
-  EXPECT_EQ(svc.find_keys("a"), nullptr);  // evicted (least recently used)
+  EXPECT_EQ(svc.find_keys("a"), keys_a);  // kept: keys are never evicted
   EXPECT_NE(svc.find_keys("b"), nullptr);
   EXPECT_NE(svc.find_keys("c"), nullptr);
 
   const auto s = runtime::stats();
   EXPECT_EQ(s.key_cache_misses, 3u);
   EXPECT_EQ(s.key_cache_hits, 1u);
-  EXPECT_EQ(s.key_cache_evictions, 1u);
+}
 
-  // Re-requesting the evicted shape preprocesses again.
-  EXPECT_NE(svc.keys_for("a", a.cs()), nullptr);
-  EXPECT_EQ(runtime::stats().key_cache_misses, 4u);
+// prove() retries the transient failure class (an injected worker
+// crash) and nothing else; a retried proof is the proof the job would
+// have produced without the fault.
+TEST_F(RuntimeTest, ProveRetriesOnlyInjectedFaults) {
+  ThreadPool::instance().configure(1);
+  ProverService svc(srs());
+  const gadgets::CircuitBuilder bld = key_circuit(5, 6, 7);
+  ProofJob job;
+  job.circuit_id = "pi_k";
+  job.cs = std::make_shared<const plonk::ConstraintSystem>(bld.cs());
+  job.witness = bld.witness();
+  job.rng = crypto::Drbg(77);
+
+  const runtime::ProveOutcome clean = svc.prove(job);
+  ASSERT_TRUE(clean.proof.has_value());
+  EXPECT_EQ(clean.attempts, 1);
+  EXPECT_EQ(clean.backoff_us, 0u);
+  {
+    fault::inject(fault::points::kProverJob, fault::Schedule::once());
+    const runtime::ProveOutcome retried = svc.prove(job);
+    fault::clear_all();
+    ASSERT_TRUE(retried.proof.has_value());
+    EXPECT_EQ(retried.error, runtime::ProveError::kNone);
+    EXPECT_EQ(retried.attempts, 2);
+    EXPECT_GT(retried.backoff_us, 0u);
+    EXPECT_EQ(retried.proof->to_bytes(), clean.proof->to_bytes());
+  }
+
+  ProofJob unsatisfied = job;
+  unsatisfied.witness[0] += Fr::one();  // breaks k_c = k + k_v
+  ASSERT_FALSE(bld.cs().is_satisfied(unsatisfied.witness));
+  const runtime::ProveOutcome bad = svc.prove(unsatisfied);
+  EXPECT_FALSE(bad.proof.has_value());
+  EXPECT_EQ(bad.error, runtime::ProveError::kUnsatisfiedWitness);
+  EXPECT_EQ(bad.attempts, 1);
+
+  // A service whose SRS is far smaller than the circuit: permanent, and
+  // the failed preprocessing leaves nothing cached.
+  crypto::Drbg tiny_rng("test-runtime-tiny-srs", 5);
+  const plonk::Srs tiny_srs = plonk::Srs::setup(64, tiny_rng);
+  ProverService tiny(tiny_srs);
+  const runtime::ProveOutcome too_big = tiny.prove(job);
+  EXPECT_FALSE(too_big.proof.has_value());
+  EXPECT_EQ(too_big.error, runtime::ProveError::kSrsTooSmall);
+  EXPECT_EQ(too_big.attempts, 1);
+  EXPECT_EQ(tiny.find_keys("pi_k"), nullptr);
+  const auto before = runtime::stats();
+  EXPECT_EQ(tiny.keys_for("pi_k", bld.cs()), nullptr);
+  EXPECT_EQ(tiny.keys_for("pi_k", bld.cs()), nullptr);
+  EXPECT_EQ(runtime::stats().key_cache_misses, before.key_cache_misses + 2);
 }
 
 TEST_F(RuntimeTest, BatchVerifySharesOnePairingProduct) {
@@ -279,7 +329,7 @@ TEST_F(RuntimeTest, BatchVerifySharesOnePairingProduct) {
         std::make_shared<const plonk::ConstraintSystem>(builders[j].cs());
     job.witness = builders[j].witness();
     job.rng = crypto::Drbg(7 + j);
-    const auto proof = svc.prove(std::move(job));
+    const auto proof = svc.prove(job).proof;
     ASSERT_TRUE(proof.has_value());
     proofs.push_back(*proof);
     publics.push_back(
@@ -292,17 +342,17 @@ TEST_F(RuntimeTest, BatchVerifySharesOnePairingProduct) {
   for (std::size_t j = 0; j < kProofs; ++j) {
     entries.push_back({&keys->vk, &publics[j], &proofs[j]});
   }
-  EXPECT_TRUE(ProverService::batch_verify(entries));
-  EXPECT_TRUE(ProverService::batch_verify({}));  // empty batch is vacuous
+  EXPECT_TRUE(plonk::batch_verify(entries));
+  EXPECT_TRUE(plonk::batch_verify({}));  // empty batch is vacuous
 
   // One corrupted statement fails the batch verdict — but only THAT
   // entry, attributed by fold bisection; the others stay valid.
   std::vector<Fr> tampered = publics[1];
   tampered[0] += Fr::one();
   entries[1].public_inputs = &tampered;
-  EXPECT_FALSE(ProverService::batch_verify(entries));
+  EXPECT_FALSE(plonk::batch_verify(entries));
   const auto before = runtime::stats();
-  const auto res = ProverService::batch_verify_attributed(entries);
+  const auto res = plonk::batch_verify_attributed(entries);
   EXPECT_FALSE(res.all_ok());
   EXPECT_EQ(res.invalid_count(), 1u);
   ASSERT_EQ(res.ok.size(), kProofs);
@@ -321,8 +371,8 @@ TEST_F(RuntimeTest, BatchVerifySharesOnePairingProduct) {
   plonk::Proof bad = proofs[2];
   bad.eval_a += Fr::one();
   entries[2].proof = &bad;
-  EXPECT_FALSE(ProverService::batch_verify(entries));
-  const auto res2 = ProverService::batch_verify_attributed(entries);
+  EXPECT_FALSE(plonk::batch_verify(entries));
+  const auto res2 = plonk::batch_verify_attributed(entries);
   EXPECT_TRUE(res2.ok[0]);
   EXPECT_TRUE(res2.ok[1]);
   EXPECT_FALSE(res2.ok[2]);

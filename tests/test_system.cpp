@@ -44,6 +44,25 @@ TEST_F(SystemFixture, KeyCacheReturnsSameInstance) {
   EXPECT_EQ(&k1, &k2);  // cached, not re-preprocessed
 }
 
+// A job submitted straight to the prover service preprocesses its shape
+// on the worker; the system's lookups see those keys, the same instance
+// keys_for hands out.
+TEST_F(SystemFixture, FindKeysSeesKeysPreprocessedByAJob) {
+  const gadgets::CircuitBuilder bld =
+      build_key_circuit(Fr::from_u64(4), Fr::from_u64(5), Fr::from_u64(6));
+  const std::string shape = "pi_k/submitted";
+  ASSERT_EQ(sys().find_keys(shape), nullptr);
+  runtime::ProofJob job;
+  job.circuit_id = shape;
+  job.cs = std::make_shared<const plonk::ConstraintSystem>(bld.cs());
+  job.witness = bld.witness();
+  job.rng = Drbg(31);
+  ASSERT_TRUE(sys().prover().submit(std::move(job)).get().proof.has_value());
+  const plonk::KeyPairResult* keys = sys().find_keys(shape);
+  ASSERT_NE(keys, nullptr);
+  EXPECT_EQ(keys, &sys().keys_for(shape, bld.cs()));
+}
+
 TEST_F(SystemFixture, OversizedCircuitThrows) {
   gadgets::CircuitBuilder bld;
   gadgets::Wire x = bld.add_witness(Fr::one());
