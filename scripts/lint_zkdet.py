@@ -78,6 +78,14 @@ analysis tooling"):
                            read site: configuration is an explicit
                            constructor argument, so a knob nothing sets
                            cannot creep back in.
+  arbiter-tx               the arbiter transaction names ("arbiter.lock",
+                           "arbiter.settle", "arbiter.refund",
+                           "zkcp.lock", "zkcp.open") appear in src/ only
+                           in src/core/exchange.cpp: each transaction has
+                           one builder there, which every front end
+                           (the synchronous API, src/rpc) calls, so its
+                           declared access set cannot drift between
+                           copies. Matched with string literals kept.
 
 Suppression: append  // zkdet-lint: allow(<rule>)  to the offending
 line (or the line above) after review.
@@ -113,12 +121,22 @@ STRIP_RES = [
 ]
 
 
+# Comments only, for rules that match string literals: a string is
+# matched (and kept) first so a "//" inside it does not start a comment.
+COMMENT_OR_STRING_RE = re.compile(
+    r'R"\w*\(.*?\)\w*"|"(?:[^"\\\n]|\\.)*"|\'(?:[^\'\\\n]|\\.)*\''
+    r"|(//[^\n]*|/\*.*?\*/)",
+    re.DOTALL,
+)
+
+
 class Rule:
-    def __init__(self, name, pattern, applies, why):
+    def __init__(self, name, pattern, applies, why, keep_strings=False):
         self.name = name
         self.pattern = re.compile(pattern)
         self.applies = applies  # path predicate (repo-relative, POSIX)
         self.why = why
+        self.keep_strings = keep_strings  # match literals, not only code
 
 
 def _in(prefixes):
@@ -316,6 +334,19 @@ RULES = [
         "field); annotate a reviewed, documented knob with "
         "// zkdet-lint: allow(env-knob)",
     ),
+    Rule(
+        # An arbiter transaction's access set is enforced at execution,
+        # so a second copy of its builder that drifts from the first
+        # reverts transactions. Front ends call the core builders.
+        "arbiter-tx",
+        r'"(?:arbiter\.(?:lock|settle|refund)|zkcp\.(?:lock|open))"',
+        lambda p: p.startswith("src/") and p != "src/core/exchange.cpp",
+        "build arbiter transactions with the KeySecureExchange / "
+        "ZkcpExchange builders in src/core/exchange.cpp "
+        "(make_lock_intent, make_settle_intent, make_refund_intent) "
+        "instead of declaring the transaction again",
+        keep_strings=True,
+    ),
 ]
 
 
@@ -328,6 +359,17 @@ def strip_noncode(text: str) -> str:
     for pattern in STRIP_RES:
         text = pattern.sub(blank, text)
     return text
+
+
+def strip_comments(text: str) -> str:
+    """Blank out comments only, preserving line structure."""
+
+    def blank(match: re.Match) -> str:
+        if match.group(1) is None:
+            return match.group(0)  # a string or char literal: keep
+        return re.sub(r"[^\n]", " ", match.group(0))
+
+    return COMMENT_OR_STRING_RE.sub(blank, text)
 
 
 def allowed_rules(line: str) -> set[str]:
@@ -344,10 +386,12 @@ def lint_file(root: pathlib.Path, path: pathlib.Path) -> list[tuple]:
         return []
     raw_lines = path.read_text(errors="replace").splitlines()
     code_lines = strip_noncode("\n".join(raw_lines)).splitlines()
+    literal_lines = strip_comments("\n".join(raw_lines)).splitlines()
     findings = []
     for lineno, code in enumerate(code_lines, start=1):
         for rule in rules:
-            if not rule.pattern.search(code):
+            text = literal_lines[lineno - 1] if rule.keep_strings else code
+            if not rule.pattern.search(text):
                 continue
             allows = allowed_rules(raw_lines[lineno - 1])
             if lineno >= 2:
@@ -555,6 +599,16 @@ SELF_TEST_CASES = [
     ("tests/test_env_ok.cpp",
      'const char* v = std::getenv("ZKDET_CHAOS_SEEDS");\n',
      None),  # out of scope
+    # arbiter-tx: arbiter transaction names only in src/core/exchange.cpp.
+    ("src/rpc/second_lock.cpp",
+     'auto in = txpool::make_intent(keys, n, "arbiter.lock", fn, access);\n',
+     "arbiter-tx"),
+    ("src/core/exchange.cpp",
+     'return txpool::make_intent(buyer, n, "arbiter.refund", fn, access);\n'
+     'auto r = pool.call(txpool::make_intent(b, n, "zkcp.lock", fn));\n',
+     None),  # the builders' one home
+    ("src/rpc/arbiter_prose_ok.cpp",
+     '// the dispatcher never names "arbiter.settle" itself\n', None),
 ]
 
 

@@ -9,8 +9,15 @@ namespace zkdet::core {
 
 namespace {
 
+// Key names of the exchange proofs. The prover and the verifier both
+// derive them (n is the dataset length, which the verifier reads off the
+// stored ciphertext); an offer or sample never carries one.
 std::string pi_p_shape(const std::string& predicate_tag, std::size_t n) {
   return "pi_p/" + predicate_tag + "/" + std::to_string(n);
+}
+
+std::string pi_s_shape(std::size_t n, std::size_t index) {
+  return "pi_s/" + std::to_string(n) + "/" + std::to_string(index);
 }
 
 }  // namespace
@@ -20,12 +27,11 @@ std::optional<Offer> KeySecureExchange::make_offer(
     const std::string& predicate_tag) {
   gadgets::CircuitBuilder bld = build_exchange_data_circuit(
       asset.plain, asset.key, asset.nonce, asset.data_blinder, phi);
-  const std::string shape_id = pi_p_shape(predicate_tag, asset.plain.size());
-  auto proof = sys_.prove(shape_id, bld.cs(), bld.witness());
+  auto proof = sys_.prove(pi_p_shape(predicate_tag, asset.plain.size()),
+                          bld.cs(), bld.witness());
   if (!proof) return std::nullopt;
   Offer offer;
   offer.token_id = asset.token_id;
-  offer.shape_id = shape_id;
   offer.predicate_tag = predicate_tag;
   offer.proof_p = *proof;
   return offer;
@@ -35,24 +41,14 @@ bool KeySecureExchange::verify_offer(const Offer& offer) const {
   // Fail-point: the buyer client aborts mid-verification (retryable;
   // nothing on chain has been touched).
   if (fault::fire(fault::points::kExchangeVerify)) return false;
-  const auto info = sys_.nft().token(offer.token_id);
-  const auto* enc = transform_.encryption_record(offer.token_id);
-  if (!info || enc == nullptr) return false;
-  if (enc->data_cid.as_field() != info->uri) return false;
-  const auto blob = sys_.storage().get(enc->data_cid);
-  if (!blob) return false;
-  const auto ct = storage::blob_to_dataset(*blob);
-  if (!ct) return false;
-
-  const plonk::KeyPairResult* keys = sys_.find_keys(offer.shape_id);
-  if (keys == nullptr) return false;
-  std::vector<Fr> publics;
-  publics.reserve(ct->size() + 2);
-  publics.push_back(enc->nonce);
-  publics.push_back(info->data_commitment);
-  publics.insert(publics.end(), ct->begin(), ct->end());
-  // zkdet-lint: allow(unbatched-verify) reviewed: off-chain buyer check
-  return plonk::verify(keys->vk, publics, offer.proof_p);
+  const auto statement = transform_.encryption_statement(offer.token_id);
+  if (!statement) return false;
+  // statement = (nonce, c_d, ct...): the key follows from the advertised
+  // predicate and the ciphertext length. pi_e has the same public
+  // inputs, so a key named by the seller would accept a proof of no
+  // predicate at all.
+  return sys_.verify(pi_p_shape(offer.predicate_tag, statement->size() - 2),
+                     *statement, offer.proof_p);
 }
 
 std::optional<BuyerSession> KeySecureExchange::lock_payment(
@@ -69,32 +65,42 @@ std::optional<BuyerSession> KeySecureExchange::lock_payment_with(
   // Fail-point: the buyer client dies before issuing the lock tx. No
   // funds have moved; the step is safely retryable.
   if (fault::fire(fault::points::kExchangeLock)) return std::nullopt;
-  const auto info = sys_.nft().token(offer.token_id);
-  if (!info) return std::nullopt;
-  const chain::Address pay_seller = seller.empty() ? info->owner : seller;
-
+  auto exchange_id = std::make_shared<std::uint64_t>(0);
+  auto intent = make_lock_intent(buyer, offer, amount, timeout_blocks, k_v,
+                                 exchange_id, seller);
+  if (!intent || !sys_.pool().call(std::move(*intent)).success) {
+    return std::nullopt;
+  }
   BuyerSession session;
+  session.exchange_id = *exchange_id;
   session.token_id = offer.token_id;
   session.k_v = k_v;
-  const Fr h_v = hash_key(session.k_v);
+  return session;
+}
 
-  // Pool-routed, shard-routed: the lock lands on the arbiter shard that
-  // owns this token id, and the declared access set lets non-conflicting
-  // exchange txs (other shards, other buyers) batch in parallel.
+std::optional<txpool::TxIntent> KeySecureExchange::make_lock_intent(
+    const crypto::KeyPair& buyer, const Offer& offer, std::uint64_t amount,
+    std::uint64_t timeout_blocks, const Fr& k_v,
+    std::shared_ptr<std::uint64_t> exchange_id, const chain::Address& seller) {
+  const auto info = sys_.nft().token(offer.token_id);
+  if (!info) return std::nullopt;
+  // Shard-routed: the lock lands on the arbiter shard that owns this
+  // token id, and the declared access set lets non-conflicting exchange
+  // txs (other shards, other buyers) batch in parallel.
   auto& arb = sys_.arbiter_for_token(offer.token_id);
+  const chain::Address from = crypto::address_of(buyer.pk);
   txpool::AccessSet access;
   access.write_contract(arb.address())
-      .touch_account(crypto::address_of(buyer.pk))
+      .touch_account(from)
       .touch_account(arb.address());
-  const auto receipt = sys_.pool().call(
-      buyer, "arbiter.lock",
-      [&](chain::CallContext& ctx) {
-        session.exchange_id = arb.lock(ctx, pay_seller, h_v,
-                                       info->key_commitment, timeout_blocks);
+  return txpool::make_intent(
+      buyer, sys_.pool().next_nonce(from), "arbiter.lock",
+      [arbp = &arb, pay_seller = seller.empty() ? info->owner : seller,
+       h_v = hash_key(k_v), c_k = info->key_commitment, timeout_blocks,
+       out = std::move(exchange_id)](chain::CallContext& ctx) {
+        *out = arbp->lock(ctx, pay_seller, h_v, c_k, timeout_blocks);
       },
       std::move(access), /*value=*/amount, /*pay_to=*/arb.address());
-  if (!receipt.success) return std::nullopt;
-  return session;
 }
 
 std::optional<txpool::TxIntent> KeySecureExchange::make_settle_intent(
@@ -130,9 +136,8 @@ std::optional<txpool::TxIntent> KeySecureExchange::make_settle_intent(
   access.write_contract(arb.address())
       .touch_account(arb.address())
       .touch_account(xinfo->seller);
-  auto& pool = sys_.pool();
   return txpool::make_intent(
-      seller, pool.next_nonce(crypto::address_of(seller.pk)),
+      seller, sys_.pool().next_nonce(crypto::address_of(seller.pk)),
       "arbiter.settle",
       [arbp = &arb, exchange_id, k_c, claim](chain::CallContext& ctx) {
         arbp->settle(ctx, exchange_id, k_c, claim->proof);
@@ -148,11 +153,7 @@ bool KeySecureExchange::settle(const crypto::KeyPair& seller,
   // untouched; the buyer's refund path guarantees liveness.
   if (fault::fire(fault::points::kExchangeSettle)) return false;
   auto intent = make_settle_intent(seller, asset, exchange_id, k_v);
-  if (!intent) return false;
-  auto res = sys_.pool().submit(std::move(*intent));
-  if (!res.accepted) return false;
-  sys_.pool().await({&res.ticket, 1});
-  return res.ticket->done() && res.ticket->receipt.success;
+  return intent && sys_.pool().call(std::move(*intent)).success;
 }
 
 std::vector<bool> KeySecureExchange::settle_batch(
@@ -199,10 +200,7 @@ std::optional<std::vector<Fr>> KeySecureExchange::recover_data(
   const Fr k = xinfo->k_c - session.k_v;
 
   const auto* enc = transform_.encryption_record(session.token_id);
-  if (enc == nullptr) return std::nullopt;
-  const auto blob = sys_.storage().get(enc->data_cid);
-  if (!blob) return std::nullopt;
-  const auto ct = storage::blob_to_dataset(*blob);
+  const auto ct = transform_.ciphertext(session.token_id);
   if (!ct) return std::nullopt;
   return crypto::mimc_ctr_decrypt(k, enc->nonce, *ct);
 }
@@ -211,18 +209,28 @@ bool KeySecureExchange::refund(const crypto::KeyPair& buyer,
                                std::uint64_t exchange_id) {
   // Fail-point: the buyer client dies before issuing refund.
   if (fault::fire(fault::points::kExchangeRefund)) return false;
+  auto intent = make_refund_intent(buyer, exchange_id);
+  return intent && sys_.pool().call(std::move(*intent)).success;
+}
+
+std::optional<txpool::TxIntent> KeySecureExchange::make_refund_intent(
+    const crypto::KeyPair& buyer, std::uint64_t exchange_id) {
+  if (exchange_id == 0) return std::nullopt;
   auto& arb = sys_.arbiter_for_exchange(exchange_id);
   const auto xinfo = arb.exchange(exchange_id);
-  if (!xinfo) return false;
+  if (!xinfo) return std::nullopt;
+  // The escrow flows back to the recorded buyer.
   txpool::AccessSet access;
   access.write_contract(arb.address())
       .touch_account(arb.address())
       .touch_account(xinfo->buyer);
-  const auto receipt = sys_.pool().call(
-      buyer, "arbiter.refund",
-      [&](chain::CallContext& ctx) { arb.refund(ctx, exchange_id); },
+  return txpool::make_intent(
+      buyer, sys_.pool().next_nonce(crypto::address_of(buyer.pk)),
+      "arbiter.refund",
+      [arbp = &arb, exchange_id](chain::CallContext& ctx) {
+        arbp->refund(ctx, exchange_id);
+      },
       std::move(access));
-  return receipt.success;
 }
 
 std::optional<KeySecureExchange::Sample> KeySecureExchange::disclose_sample(
@@ -230,28 +238,24 @@ std::optional<KeySecureExchange::Sample> KeySecureExchange::disclose_sample(
   if (index >= asset.plain.size()) return std::nullopt;
   gadgets::CircuitBuilder bld =
       build_disclosure_circuit(asset.plain, asset.data_blinder, index);
-  const std::string shape_id = "pi_s/" + std::to_string(asset.plain.size()) +
-                               "/" + std::to_string(index);
-  auto proof = sys_.prove(shape_id, bld.cs(), bld.witness());
+  auto proof = sys_.prove(pi_s_shape(asset.plain.size(), index), bld.cs(),
+                          bld.witness());
   if (!proof) return std::nullopt;
   Sample s;
   s.token_id = asset.token_id;
   s.index = index;
   s.value = asset.plain[index];
-  s.shape_id = shape_id;
   s.proof = *proof;
   return s;
 }
 
 bool KeySecureExchange::verify_sample(const Sample& sample) const {
   const auto info = sys_.nft().token(sample.token_id);
-  if (!info) return false;
-  const plonk::KeyPairResult* keys = sys_.find_keys(sample.shape_id);
-  if (keys == nullptr) return false;
-  // statement: (c_d from chain, revealed value)
-  // zkdet-lint: allow(unbatched-verify) reviewed: off-chain sample check
-  return plonk::verify(keys->vk, {info->data_commitment, sample.value},
-                       sample.proof);
+  const auto ct = transform_.ciphertext(sample.token_id);
+  if (!info || !ct) return false;
+  // statement: (c_d from chain, revealed value); the index picks the key.
+  return sys_.verify(pi_s_shape(ct->size(), sample.index),
+                     {info->data_commitment, sample.value}, sample.proof);
 }
 
 // --- ZKCP baseline ---
@@ -259,17 +263,15 @@ bool KeySecureExchange::verify_sample(const Sample& sample) const {
 std::optional<Offer> ZkcpExchange::make_offer(const OwnedAsset& asset,
                                               const Predicate& phi,
                                               const std::string& predicate_tag) {
-  // Identical phase-1 relation; reuse the key-secure implementation and
-  // additionally publish h = H(k) as ZKCP's Deliver step requires.
-  KeySecureExchange ks(sys_, transform_);
-  auto offer = ks.make_offer(asset, phi, predicate_tag);
+  // Identical phase-1 relation; additionally publish h = H(k) as
+  // ZKCP's Deliver step requires.
+  auto offer = phase1_.make_offer(asset, phi, predicate_tag);
   if (offer) offer->key_hash = hash_key(asset.key);
   return offer;
 }
 
 bool ZkcpExchange::verify_offer(const Offer& offer) const {
-  KeySecureExchange ks(sys_, const_cast<TransformationProtocol&>(transform_));
-  return ks.verify_offer(offer);
+  return phase1_.verify_offer(offer);
 }
 
 std::optional<std::uint64_t> ZkcpExchange::lock_payment(
@@ -282,41 +284,48 @@ std::optional<std::uint64_t> ZkcpExchange::lock_payment(
   // Locking allocates a fresh exchange id from the arbiter's shared
   // counter: whole-contract write, as for the key-secure lock.
   auto& arb = sys_.zkcp_arbiter();
+  auto& pool = sys_.pool();
+  const chain::Address from = crypto::address_of(buyer.pk);
   txpool::AccessSet access;
   access.write_contract(arb.address())
-      .touch_account(crypto::address_of(buyer.pk))
+      .touch_account(from)
       .touch_account(arb.address());
-  const auto receipt = sys_.pool().call(
-      buyer, "zkcp.lock",
+  const auto receipt = pool.call(txpool::make_intent(
+      buyer, pool.next_nonce(from), "zkcp.lock",
       [&](chain::CallContext& ctx) {
         id = arb.lock(ctx, info->owner, offer.key_hash);
       },
-      std::move(access), /*value=*/amount, /*pay_to=*/arb.address());
+      std::move(access), /*value=*/amount, /*pay_to=*/arb.address()));
   if (!receipt.success) return std::nullopt;
   return id;
 }
 
-txpool::AccessSet ZkcpExchange::open_access(const crypto::KeyPair& seller,
-                                            std::uint64_t exchange_id) const {
+txpool::TxIntent ZkcpExchange::make_open_intent(const crypto::KeyPair& seller,
+                                                std::uint64_t exchange_id,
+                                                const Fr& key) {
   // Opens pay the escrow out of the shared ZKCP arbiter account, so
   // they conflict pairwise on that balance and serialize across blocks.
-  const chain::Address& arb = sys_.zkcp_arbiter().address();
+  auto& arb = sys_.zkcp_arbiter();
+  const chain::Address from = crypto::address_of(seller.pk);
   txpool::AccessSet access;
-  access.write_contract(arb, "zkcp/" + std::to_string(exchange_id) + "/")
-      .touch_account(arb)
-      .touch_account(crypto::address_of(seller.pk));
-  return access;
+  access
+      .write_contract(arb.address(),
+                      "zkcp/" + std::to_string(exchange_id) + "/")
+      .touch_account(arb.address())
+      .touch_account(from);
+  return txpool::make_intent(
+      seller, sys_.pool().next_nonce(from), "zkcp.open",
+      [arbp = &arb, exchange_id, key](chain::CallContext& ctx) {
+        arbp->open(ctx, exchange_id, key);
+      },
+      std::move(access));
 }
 
 bool ZkcpExchange::open(const crypto::KeyPair& seller, const OwnedAsset& asset,
                         std::uint64_t exchange_id) {
-  const auto receipt = sys_.pool().call(
-      seller, "zkcp.open",
-      [&](chain::CallContext& ctx) {
-        sys_.zkcp_arbiter().open(ctx, exchange_id, asset.key);
-      },
-      open_access(seller, exchange_id));
-  return receipt.success;
+  return sys_.pool()
+      .call(make_open_intent(seller, exchange_id, asset.key))
+      .success;
 }
 
 std::vector<bool> ZkcpExchange::open_batch(
@@ -325,21 +334,13 @@ std::vector<bool> ZkcpExchange::open_batch(
   std::vector<std::size_t> index;  // request index of tickets[j]
   std::vector<txpool::TicketPtr> tickets;
   auto& pool = sys_.pool();
-  auto& arb = sys_.zkcp_arbiter();
   for (std::size_t i = 0; i < requests.size(); ++i) {
     const OpenRequest& rq = requests[i];
     if (rq.seller == nullptr || rq.asset == nullptr) continue;
-    // Opens serialize on the arbiter balance (open_access); accumulation
-    // still pays one pump loop for all of them.
-    auto intent = txpool::make_intent(
-        *rq.seller, pool.next_nonce(crypto::address_of(rq.seller->pk)),
-        "zkcp.open",
-        [arbp = &arb, id = rq.exchange_id,
-         key = rq.asset->key](chain::CallContext& ctx) {
-          arbp->open(ctx, id, key);
-        },
-        open_access(*rq.seller, rq.exchange_id));
-    auto res = pool.submit(std::move(intent));
+    // Opens serialize on the arbiter balance; accumulation still pays
+    // one pump loop for all of them.
+    auto res = pool.submit(
+        make_open_intent(*rq.seller, rq.exchange_id, rq.asset->key));
     if (!res.accepted) continue;
     index.push_back(i);
     tickets.push_back(std::move(res.ticket));
@@ -356,10 +357,7 @@ std::optional<std::vector<Fr>> ZkcpExchange::eavesdrop(
   const auto leaked = sys_.zkcp_arbiter().leaked_key(exchange_id);
   if (!leaked) return std::nullopt;
   const auto* enc = transform_.encryption_record(token_id);
-  if (enc == nullptr) return std::nullopt;
-  const auto blob = sys_.storage().get(enc->data_cid);
-  if (!blob) return std::nullopt;
-  const auto ct = storage::blob_to_dataset(*blob);
+  const auto ct = transform_.ciphertext(token_id);
   if (!ct) return std::nullopt;
   return crypto::mimc_ctr_decrypt(*leaked, enc->nonce, *ct);
 }

@@ -17,6 +17,7 @@
 // ell-term G1 MSM + 3 pairings; see plonk::groth16::verify).
 #pragma once
 
+#include <memory>
 #include <span>
 
 #include "core/system.hpp"
@@ -25,11 +26,13 @@
 namespace zkdet::core {
 
 // The seller's public offer: everything a buyer needs to validate the
-// data before paying (paper IV-F data validation phase).
+// data before paying (paper IV-F data validation phase). It names no
+// proving key: the buyer checks proof_p under the pi_p key of
+// (predicate_tag, stored ciphertext length), so the proof binds to the
+// predicate the buyer asked for.
 struct Offer {
   std::uint64_t token_id = 0;
-  std::string shape_id;       // pi_p circuit shape
-  std::string predicate_tag;  // human-readable phi description
+  std::string predicate_tag;  // names phi; selects the pi_p key
   plonk::Proof proof_p;
   Fr key_hash;  // ZKCP baseline only: h = H(k) published by the seller
 };
@@ -107,23 +110,39 @@ class KeySecureExchange {
   // Buyer: reclaim an expired escrow.
   bool refund(const crypto::KeyPair& buyer, std::uint64_t exchange_id);
 
-  // Shared by settle()/settle_batch() and the RPC dispatcher's batching
-  // path: sanity checks, proves pi_k and builds the signed settle
-  // intent carrying its ProofClaim (so however the caller batches, the
-  // settle rides the folded verification). nullopt on any seller-side
-  // rejection (bad k_v, foreign asset, prover failure).
+  // The one builder of each arbiter transaction, shared by the calls
+  // above and the RPC dispatcher, so each footprint (shard write plus
+  // the two balance legs) is declared once. Each returns the intent
+  // signed at the sender's next pool nonce.
+  //
+  // Lock: escrows `amount` against h_v = H(k_v) on the token's shard;
+  // the closure writes the assigned exchange id to *exchange_id.
+  // `seller` as in lock_payment. nullopt when the token does not exist.
+  std::optional<txpool::TxIntent> make_lock_intent(
+      const crypto::KeyPair& buyer, const Offer& offer, std::uint64_t amount,
+      std::uint64_t timeout_blocks, const Fr& k_v,
+      std::shared_ptr<std::uint64_t> exchange_id,
+      const chain::Address& seller = {});
+  // Settle: sanity checks, proves pi_k and attaches the ProofClaim (so
+  // however the caller batches, the settle rides the folded
+  // verification). nullopt on any seller-side rejection (bad k_v,
+  // foreign asset, prover failure).
   std::optional<txpool::TxIntent> make_settle_intent(
       const crypto::KeyPair& seller, const OwnedAsset& asset,
       std::uint64_t exchange_id, const Fr& k_v);
+  // Refund: nullopt for id 0 or an unknown exchange.
+  std::optional<txpool::TxIntent> make_refund_intent(
+      const crypto::KeyPair& buyer, std::uint64_t exchange_id);
 
   // --- sample disclosure (marketplace extension) ---
   // Seller: reveal entry `index` of the asset's plaintext with a proof
-  // pi_s that it opens the token's on-chain commitment.
+  // pi_s that it opens the token's on-chain commitment. The index is a
+  // circuit constant: the verifier checks the proof under the pi_s key
+  // of (stored ciphertext length, index), so the proof binds it.
   struct Sample {
     std::uint64_t token_id = 0;
     std::size_t index = 0;
     Fr value;
-    std::string shape_id;
     plonk::Proof proof;
   };
   std::optional<Sample> disclose_sample(const OwnedAsset& asset,
@@ -139,7 +158,7 @@ class KeySecureExchange {
 class ZkcpExchange {
  public:
   ZkcpExchange(ZkdetSystem& sys, TransformationProtocol& transform)
-      : sys_(sys), transform_(transform) {}
+      : sys_(sys), transform_(transform), phase1_(sys, transform) {}
 
   // Same data-validation phase as the key-secure protocol.
   std::optional<Offer> make_offer(const OwnedAsset& asset,
@@ -174,13 +193,13 @@ class ZkcpExchange {
       std::uint64_t exchange_id, std::uint64_t token_id) const;
 
  private:
-  // Declared access of one open: its exchange's slots plus the arbiter
-  // and seller balances.
-  [[nodiscard]] txpool::AccessSet open_access(const crypto::KeyPair& seller,
-                                              std::uint64_t exchange_id) const;
+  // The one builder of the open tx, shared by open() and open_batch().
+  txpool::TxIntent make_open_intent(const crypto::KeyPair& seller,
+                                    std::uint64_t exchange_id, const Fr& key);
 
   ZkdetSystem& sys_;
   TransformationProtocol& transform_;
+  KeySecureExchange phase1_;  // the shared data-validation phase
 };
 
 }  // namespace zkdet::core

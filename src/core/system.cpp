@@ -100,6 +100,14 @@ const plonk::KeyPairResult* ZkdetSystem::find_keys(
   return prover_.find_keys(shape_id).get();
 }
 
+bool ZkdetSystem::verify(const std::string& shape_id,
+                         const std::vector<ff::Fr>& publics,
+                         const plonk::Proof& proof) const {
+  const plonk::KeyPairResult* keys = find_keys(shape_id);
+  // zkdet-lint: allow(unbatched-verify) reviewed: off-chain client check
+  return keys != nullptr && plonk::verify(keys->vk, publics, proof);
+}
+
 runtime::ProofJob ZkdetSystem::proof_job(const std::string& shape_id,
                                          const plonk::ConstraintSystem& cs,
                                          std::vector<ff::Fr> witness) {

@@ -103,6 +103,15 @@ class ZkdetSystem {
   // Lookup-only variant for verifiers; nullptr if never preprocessed.
   [[nodiscard]] const plonk::KeyPairResult* find_keys(
       const std::string& shape_id) const;
+  // The one off-chain proof check: `proof` against `publics` under the
+  // keys of `shape_id`; false when the shape was never preprocessed.
+  // Verifiers derive `shape_id` from what they check (predicate tag,
+  // stored ciphertext length, index), never from the prover. Keys are
+  // trusted on first use: whoever preprocesses a shape id first fixes
+  // its circuit.
+  [[nodiscard]] bool verify(const std::string& shape_id,
+                            const std::vector<ff::Fr>& publics,
+                            const plonk::Proof& proof) const;
 
   // A proof job for `cs` under `witness`, its shape preprocessed on the
   // caller's thread. Each job gets its own blinder rng derived from the

@@ -9,22 +9,6 @@ using chain::Formula;
 using gadgets::CircuitBuilder;
 using storage::Cid;
 
-std::optional<plonk::Proof> TransformationProtocol::prove_shape(
-    const std::string& shape_id, const CircuitBuilder& bld) {
-  // Routed through the runtime's proof-job service: queued on the shared
-  // pool, keys cached per shape.
-  return sys_.prove(shape_id, bld.cs(), bld.witness());
-}
-
-bool TransformationProtocol::verify_shape(const std::string& shape_id,
-                                          const std::vector<Fr>& publics,
-                                          const plonk::Proof& proof) const {
-  const plonk::KeyPairResult* keys = sys_.find_keys(shape_id);
-  if (keys == nullptr) return false;
-  // zkdet-lint: allow(unbatched-verify) reviewed: off-chain client check
-  return plonk::verify(keys->vk, publics, proof);
-}
-
 Cid TransformationProtocol::store_proof(const plonk::Proof& proof) {
   return sys_.storage().put(proof.to_bytes());
 }
@@ -48,7 +32,7 @@ std::optional<std::uint64_t> TransformationProtocol::mint_with_encryption(
                                                 asset.nonce,
                                                 asset.data_blinder);
   const std::string shape_id = "pi_e/" + std::to_string(asset.plain.size());
-  auto proof = prove_shape(shape_id, enc);
+  auto proof = sys_.prove(shape_id, enc.cs(), enc.witness());
   if (!proof) return std::nullopt;
 
   const Fr data_cm = commit_dataset(asset.plain, asset.data_blinder);
@@ -57,8 +41,10 @@ std::optional<std::uint64_t> TransformationProtocol::mint_with_encryption(
   std::uint64_t token_id = 0;
   // Minting allocates a fresh token id from shared NFT state, so it
   // serializes by nature: undeclared access, sealed alone.
-  const auto receipt = sys_.pool().call(
-      owner, formula == Formula::kGenesis ? "mint" : "mint_derived",
+  auto& pool = sys_.pool();
+  const auto receipt = pool.call(txpool::make_intent(
+      owner, pool.next_nonce(crypto::address_of(owner.pk)),
+      formula == Formula::kGenesis ? "mint" : "mint_derived",
       [&](chain::CallContext& ctx) {
         if (formula == Formula::kGenesis) {
           token_id = sys_.nft().mint(ctx, cid.as_field(), data_cm, key_cm);
@@ -66,7 +52,7 @@ std::optional<std::uint64_t> TransformationProtocol::mint_with_encryption(
           token_id = sys_.nft().mint_derived(ctx, cid.as_field(), data_cm,
                                              key_cm, formula, parents);
         }
-      });
+      }));
   if (!receipt.success) return std::nullopt;
 
   EncryptionRecord rec;
@@ -78,6 +64,25 @@ std::optional<std::uint64_t> TransformationProtocol::mint_with_encryption(
   enc_records_[token_id] = std::move(rec);
   asset.token_id = token_id;
   return token_id;
+}
+
+std::optional<OwnedAsset> TransformationProtocol::mint_transformed(
+    const crypto::KeyPair& owner, OwnedAsset derived, Formula formula,
+    std::vector<std::uint64_t> parents, const std::string& shape_id,
+    const CircuitBuilder& bld) {
+  auto proof = sys_.prove(shape_id, bld.cs(), bld.witness());
+  if (!proof) return std::nullopt;
+  if (!mint_with_encryption(owner, derived, formula, parents)) {
+    return std::nullopt;
+  }
+  TransformRecord rec;
+  rec.formula = formula;
+  rec.shape_id = shape_id;
+  rec.parents = std::move(parents);
+  rec.proof = *proof;
+  rec.proof_cid = store_proof(*proof);
+  tf_records_[derived.token_id] = std::move(rec);
+  return derived;
 }
 
 std::optional<OwnedAsset> TransformationProtocol::publish(
@@ -99,22 +104,9 @@ std::optional<OwnedAsset> TransformationProtocol::duplicate(
 
   CircuitBuilder bld = build_duplication_circuit(src.plain, src.data_blinder,
                                                  derived.data_blinder);
-  const std::string shape_id = "pi_t/dup/" + std::to_string(src.plain.size());
-  auto proof = prove_shape(shape_id, bld);
-  if (!proof) return std::nullopt;
-
-  if (!mint_with_encryption(owner, derived, Formula::kDuplication,
-                            {src.token_id})) {
-    return std::nullopt;
-  }
-  TransformRecord rec;
-  rec.formula = Formula::kDuplication;
-  rec.shape_id = shape_id;
-  rec.parents = {src.token_id};
-  rec.proof = *proof;
-  rec.proof_cid = store_proof(*proof);
-  tf_records_[derived.token_id] = std::move(rec);
-  return derived;
+  return mint_transformed(owner, std::move(derived), Formula::kDuplication,
+                          {src.token_id},
+                          "pi_t/dup/" + std::to_string(src.plain.size()), bld);
 }
 
 std::optional<OwnedAsset> TransformationProtocol::aggregate(
@@ -136,20 +128,8 @@ std::optional<OwnedAsset> TransformationProtocol::aggregate(
 
   CircuitBuilder bld =
       build_aggregation_circuit(plains, blinders, derived.data_blinder);
-  auto proof = prove_shape(shape_id, bld);
-  if (!proof) return std::nullopt;
-
-  if (!mint_with_encryption(owner, derived, Formula::kAggregation, parents)) {
-    return std::nullopt;
-  }
-  TransformRecord rec;
-  rec.formula = Formula::kAggregation;
-  rec.shape_id = shape_id;
-  rec.parents = parents;
-  rec.proof = *proof;
-  rec.proof_cid = store_proof(*proof);
-  tf_records_[derived.token_id] = std::move(rec);
-  return derived;
+  return mint_transformed(owner, std::move(derived), Formula::kAggregation,
+                          std::move(parents), shape_id, bld);
 }
 
 std::optional<std::vector<OwnedAsset>> TransformationProtocol::partition(
@@ -178,7 +158,7 @@ std::optional<std::vector<OwnedAsset>> TransformationProtocol::partition(
   for (const std::size_t s : sizes) shape_id += "/" + std::to_string(s);
   CircuitBuilder bld = build_partition_circuit(src.plain, sizes,
                                                src.data_blinder, part_blinders);
-  auto proof = prove_shape(shape_id, bld);
+  auto proof = sys_.prove(shape_id, bld.cs(), bld.witness());
   if (!proof) return std::nullopt;
   const Cid proof_cid = store_proof(*proof);
 
@@ -229,51 +209,18 @@ std::optional<OwnedAsset> TransformationProtocol::process(
   if (derived_plain.empty()) return std::nullopt;
   derived.plain = derived_plain;
 
-  const std::string shape_id =
-      "pi_t/proc/" + shape_tag + "/" + std::to_string(src.plain.size());
-  auto proof = prove_shape(shape_id, bld);
-  if (!proof) return std::nullopt;
-
-  if (!mint_with_encryption(owner, derived, Formula::kProcessing,
-                            {src.token_id})) {
-    return std::nullopt;
-  }
-  TransformRecord rec;
-  rec.formula = Formula::kProcessing;
-  rec.shape_id = shape_id;
-  rec.parents = {src.token_id};
-  rec.proof = *proof;
-  rec.proof_cid = store_proof(*proof);
-  tf_records_[derived.token_id] = std::move(rec);
-  return derived;
+  return mint_transformed(
+      owner, std::move(derived), Formula::kProcessing, {src.token_id},
+      "pi_t/proc/" + shape_tag + "/" + std::to_string(src.plain.size()), bld);
 }
 
 // --- verification ---
 
 bool TransformationProtocol::verify_encryption(std::uint64_t token_id) const {
-  const auto info = sys_.nft().token(token_id);
-  const auto rec_it = enc_records_.find(token_id);
-  if (!info || rec_it == enc_records_.end()) return false;
-  const EncryptionRecord& rec = rec_it->second;
-
-  // The record's full CID must match the on-chain URI (its field image),
-  // which binds the registry entry to the token.
-  if (rec.data_cid.as_field() != info->uri) return false;
-
-  // Fetch the ciphertext (the storage layer re-checks the digest, so a
-  // tampered copy cannot slip through).
-  const auto blob = sys_.storage().get(rec.data_cid);
-  if (!blob) return false;
-  const auto ct = storage::blob_to_dataset(*blob);
-  if (!ct) return false;
-
-  // Statement: (nonce, c_s, ct...), with c_s taken from the chain.
-  std::vector<Fr> publics;
-  publics.reserve(ct->size() + 2);
-  publics.push_back(rec.nonce);
-  publics.push_back(info->data_commitment);
-  publics.insert(publics.end(), ct->begin(), ct->end());
-  return verify_shape(rec.shape_id, publics, rec.proof);
+  const auto statement = encryption_statement(token_id);
+  if (!statement) return false;
+  const EncryptionRecord& rec = enc_records_.at(token_id);
+  return sys_.verify(rec.shape_id, *statement, rec.proof);
 }
 
 bool TransformationProtocol::verify_transformation(
@@ -315,7 +262,7 @@ bool TransformationProtocol::verify_transformation(
     case Formula::kGenesis:
       return true;
   }
-  return verify_shape(rec.shape_id, publics, rec.proof);
+  return sys_.verify(rec.shape_id, publics, rec.proof);
 }
 
 bool TransformationProtocol::verify_provenance_chain(
@@ -334,6 +281,33 @@ const EncryptionRecord* TransformationProtocol::encryption_record(
     std::uint64_t token_id) const {
   const auto it = enc_records_.find(token_id);
   return it == enc_records_.end() ? nullptr : &it->second;
+}
+
+std::optional<std::vector<Fr>> TransformationProtocol::ciphertext(
+    std::uint64_t token_id) const {
+  const EncryptionRecord* rec = encryption_record(token_id);
+  if (rec == nullptr) return std::nullopt;
+  const auto blob = sys_.storage().get(rec->data_cid);
+  if (!blob) return std::nullopt;
+  return storage::blob_to_dataset(*blob);
+}
+
+std::optional<std::vector<Fr>> TransformationProtocol::encryption_statement(
+    std::uint64_t token_id) const {
+  const auto info = sys_.nft().token(token_id);
+  const EncryptionRecord* rec = encryption_record(token_id);
+  if (!info || rec == nullptr) return std::nullopt;
+  // The record's full CID must match the on-chain URI (its field image),
+  // which binds the registry entry to the token.
+  if (rec->data_cid.as_field() != info->uri) return std::nullopt;
+  const auto ct = ciphertext(token_id);
+  if (!ct) return std::nullopt;
+  std::vector<Fr> publics;
+  publics.reserve(ct->size() + 2);
+  publics.push_back(rec->nonce);
+  publics.push_back(info->data_commitment);
+  publics.insert(publics.end(), ct->begin(), ct->end());
+  return publics;
 }
 
 const TransformRecord* TransformationProtocol::transform_record(

@@ -83,6 +83,16 @@ class TransformationProtocol {
 
   [[nodiscard]] const EncryptionRecord* encryption_record(
       std::uint64_t token_id) const;
+  // The token's stored ciphertext, fetched by its registry CID (the
+  // storage layer re-checks the digest); nullopt when unregistered or
+  // unreadable.
+  [[nodiscard]] std::optional<std::vector<Fr>> ciphertext(
+      std::uint64_t token_id) const;
+  // The public statement (nonce, c_s, ct...) that pi_e and pi_p share,
+  // with c_s read from the chain; nullopt unless the token exists and
+  // its registry CID matches the on-chain URI.
+  [[nodiscard]] std::optional<std::vector<Fr>> encryption_statement(
+      std::uint64_t token_id) const;
   [[nodiscard]] const TransformRecord* transform_record(
       std::uint64_t token_id) const;
 
@@ -91,11 +101,12 @@ class TransformationProtocol {
   std::optional<std::uint64_t> mint_with_encryption(
       const crypto::KeyPair& owner, OwnedAsset& asset, chain::Formula formula,
       const std::vector<std::uint64_t>& parents);
-  std::optional<plonk::Proof> prove_shape(const std::string& shape_id,
-                                          const gadgets::CircuitBuilder& bld);
-  [[nodiscard]] bool verify_shape(const std::string& shape_id,
-                                  const std::vector<Fr>& publics,
-                                  const plonk::Proof& proof) const;
+  // Proves pi_t (`shape_id` over `bld`), mints `derived` as a child of
+  // `parents` and files its pi_t record.
+  std::optional<OwnedAsset> mint_transformed(
+      const crypto::KeyPair& owner, OwnedAsset derived, chain::Formula formula,
+      std::vector<std::uint64_t> parents, const std::string& shape_id,
+      const gadgets::CircuitBuilder& bld);
   storage::Cid store_proof(const plonk::Proof& proof);
 
   ZkdetSystem& sys_;

@@ -3,8 +3,8 @@
 // Fr has 2-adicity 28 (r - 1 = 2^28 * odd), so power-of-two evaluation
 // domains up to 2^28 points exist. EvaluationDomain caches the root of
 // unity and its inverse for one size; Plonk uses a size-n domain for
-// witness polynomials and a shifted (coset) size-4n domain for quotient
-// computation.
+// witness polynomials and a shifted (coset) size-8n domain for quotient
+// computation (4n would suffice; see ROADMAP item 1).
 #pragma once
 
 #include <cstddef>

@@ -209,8 +209,9 @@ std::vector<Response> Dispatcher::run(std::span<const Request> requests) {
           continue;
         }
         const core::Offer& offer = offers_[rq.a - 1];
-        const auto info = sys_.nft().token(offer.token_id);
-        if (!info) {
+        // Checked before the k_v draw, so a rejected lock draws nothing;
+        // make_lock_intent declines only a missing token.
+        if (!sys_.nft().exists(offer.token_id)) {
           responses[i] = reject(rq, "offer token vanished");
           continue;
         }
@@ -220,21 +221,9 @@ std::vector<Response> Dispatcher::run(std::span<const Request> requests) {
         pend.k_v = rng_.random_fr();
         pend.token_id = offer.token_id;
         pend.lock_id = std::make_shared<std::uint64_t>(0);
-        const ff::Fr h_v = core::hash_key(pend.k_v);
-        auto& arb = sys_.arbiter_for_token(offer.token_id);
-        txpool::AccessSet access;
-        access.write_contract(arb.address())
-            .touch_account(p->addr)
-            .touch_account(arb.address());
-        auto intent = txpool::make_intent(
-            p->keys, pool.next_nonce(p->addr), "arbiter.lock",
-            [arbp = &arb, seller = info->owner, h_v,
-             c_k = info->key_commitment, timeout = rq.c,
-             out = pend.lock_id](chain::CallContext& ctx) {
-              *out = arbp->lock(ctx, seller, h_v, c_k, timeout);
-            },
-            std::move(access), /*value=*/rq.b, /*pay_to=*/arb.address());
-        auto res = pool.submit(std::move(intent));
+        auto intent = exchange_.make_lock_intent(p->keys, offer, rq.b, rq.c,
+                                                 pend.k_v, pend.lock_id);
+        auto res = pool.submit(std::move(*intent));
         if (!res.accepted) {
           responses[i] = reject(rq, res.error);
           continue;
@@ -268,27 +257,12 @@ std::vector<Response> Dispatcher::run(std::span<const Request> requests) {
         break;
       }
       case Op::kRefund: {
-        if (rq.a < 1) {
+        auto intent = exchange_.make_refund_intent(p->keys, rq.a);
+        if (!intent) {
           responses[i] = reject(rq, "unknown exchange");
           continue;
         }
-        auto& arb = sys_.arbiter_for_exchange(rq.a);
-        const auto xinfo = arb.exchange(rq.a);
-        if (!xinfo) {
-          responses[i] = reject(rq, "unknown exchange");
-          continue;
-        }
-        txpool::AccessSet access;
-        access.write_contract(arb.address())
-            .touch_account(arb.address())
-            .touch_account(xinfo->buyer);
-        auto intent = txpool::make_intent(
-            p->keys, pool.next_nonce(p->addr), "arbiter.refund",
-            [arbp = &arb, id = rq.a](chain::CallContext& ctx) {
-              arbp->refund(ctx, id);
-            },
-            std::move(access));
-        auto res = pool.submit(std::move(intent));
+        auto res = pool.submit(std::move(*intent));
         if (!res.accepted) {
           responses[i] = reject(rq, res.error);
           continue;

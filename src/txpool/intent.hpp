@@ -21,23 +21,13 @@
 namespace zkdet::txpool {
 
 struct TxIntent {
-  chain::Address sender;
-  std::string description;
-  std::uint64_t nonce = 0;
-  crypto::Signature sig{};
-  std::function<void(chain::CallContext&)> fn;
-  std::uint64_t value = 0;
-  chain::Address pay_to;
-  std::uint64_t gas_limit = 30'000'000;
+  // The signed transaction itself; `tx.policy` stays null until the pool
+  // seals it, when it points at the enforcer of `access`.
+  chain::BatchTx tx;
+  AccessSet access;
   // Replacement policy: a resubmission of (sender, nonce) wins only
   // with strictly higher priority.
   std::uint64_t priority = 0;
-  AccessSet access;
-  // Optional pre-execution proof claim (chain/claim.hpp): settlement
-  // intents attach the (vk, statement, proof) their closure will
-  // verify, so the batch executor folds all of a batch's pairing
-  // checks into one attributed product before execution.
-  std::shared_ptr<const chain::ProofClaim> claim;
 };
 
 // Builds a signed intent (signed by Chain::sign_tx, as Chain::call is).

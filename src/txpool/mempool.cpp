@@ -7,14 +7,14 @@ namespace zkdet::txpool {
 Mempool::AdmitResult Mempool::admit(PendingTx tx, std::uint64_t chain_nonce) {
   AdmitResult out;
   const TxIntent& in = tx.intent;
-  if (in.nonce < chain_nonce) {
+  if (in.tx.nonce < chain_nonce) {
     out.error = "txpool: stale nonce (replay rejected)";
     return out;
   }
-  auto& q = queues_[in.sender];
-  if (const auto it = q.find(in.nonce); it != q.end()) {
+  auto& q = queues_[in.tx.sender];
+  if (const auto it = q.find(in.tx.nonce); it != q.end()) {
     if (in.priority <= it->second.intent.priority) {
-      if (q.empty()) queues_.erase(in.sender);
+      if (q.empty()) queues_.erase(in.tx.sender);
       out.error = "txpool: replacement underpriced";
       return out;
     }
@@ -24,11 +24,11 @@ Mempool::AdmitResult Mempool::admit(PendingTx tx, std::uint64_t chain_nonce) {
     return out;
   }
   if (size_ >= capacity_) {
-    if (q.empty()) queues_.erase(in.sender);
+    if (q.empty()) queues_.erase(in.tx.sender);
     out.error = "txpool: admission queue full";
     return out;
   }
-  q.emplace(in.nonce, std::move(tx));
+  q.emplace(in.tx.nonce, std::move(tx));
   ++size_;
   out.accepted = true;
   return out;

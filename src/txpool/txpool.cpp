@@ -16,17 +16,17 @@ TxIntent make_intent(const crypto::KeyPair& sender, std::uint64_t nonce,
                      std::uint64_t priority,
                      std::shared_ptr<const chain::ProofClaim> claim) {
   TxIntent in;
-  in.sender = crypto::address_of(sender.pk);
-  in.nonce = nonce;
-  in.fn = std::move(fn);
+  in.tx.sender = crypto::address_of(sender.pk);
+  in.tx.nonce = nonce;
+  in.tx.sig = chain::Chain::sign_tx(sender, description, nonce);
+  in.tx.description = std::move(description);
+  in.tx.fn = std::move(fn);
+  in.tx.value = value;
+  in.tx.pay_to = std::move(pay_to);
+  in.tx.gas_limit = gas_limit;
+  in.tx.claim = std::move(claim);
   in.access = std::move(access);
-  in.value = value;
-  in.pay_to = std::move(pay_to);
-  in.gas_limit = gas_limit;
   in.priority = priority;
-  in.claim = std::move(claim);
-  in.sig = chain::Chain::sign_tx(sender, description, nonce);
-  in.description = std::move(description);
   return in;
 }
 
@@ -55,7 +55,7 @@ SubmitResult TxPool::submit(TxIntent intent) {
       out.error = "txpool: admission queue full";
       return out;
     }
-    const std::uint64_t chain_nonce = chain_.account_nonce(intent.sender);
+    const std::uint64_t chain_nonce = chain_.account_nonce(intent.tx.sender);
     PendingTx tx;
     tx.intent = std::move(intent);
     tx.ticket = std::make_shared<Ticket>();
@@ -105,27 +105,11 @@ std::size_t TxPool::seal_next_batch() {
   policies.reserve(plan.txs.size());
   std::vector<chain::BatchTx> batch;
   batch.reserve(plan.txs.size());
-  for (const PendingTx& tx : plan.txs) {
-    const TxIntent& in = tx.intent;
-    chain::BatchTx b;
-    b.sender = in.sender;
-    b.description = in.description;
-    b.nonce = in.nonce;
-    b.sig = in.sig;
-    b.fn = in.fn;
-    b.value = in.value;
-    b.pay_to = in.pay_to;
-    b.gas_limit = in.gas_limit;
-    b.claim = in.claim;
-    policies.emplace_back(in.access);
-    batch.push_back(std::move(b));
-  }
-  // Pointers taken after the vector stopped growing (reserve above
-  // guarantees stability anyway).
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    if (!plan.txs[i].intent.access.undeclared()) {
-      batch[i].policy = &policies[i];
-    }
+  for (PendingTx& tx : plan.txs) {
+    policies.emplace_back(tx.intent.access);
+    batch.push_back(std::move(tx.intent.tx));
+    // reserve() above keeps &policies.back() stable.
+    if (!tx.intent.access.undeclared()) batch.back().policy = &policies.back();
   }
 
   const auto receipts = chain_.execute_batch(batch, cfg_.parallel);
@@ -160,17 +144,8 @@ void TxPool::await(std::span<const TicketPtr> tickets) {
   }
 }
 
-chain::Receipt TxPool::call(const crypto::KeyPair& sender,
-                            const std::string& description,
-                            const std::function<void(chain::CallContext&)>& fn,
-                            AccessSet access, std::uint64_t value,
-                            const chain::Address& pay_to,
-                            std::uint64_t gas_limit,
-                            std::shared_ptr<const chain::ProofClaim> claim) {
-  const chain::Address from = crypto::address_of(sender.pk);
-  auto res = submit(make_intent(sender, next_nonce(from), description, fn,
-                                std::move(access), value, pay_to, gas_limit,
-                                /*priority=*/0, std::move(claim)));
+chain::Receipt TxPool::call(TxIntent intent) {
+  auto res = submit(std::move(intent));
   if (!res.accepted) {
     chain::Receipt r;
     r.error = std::move(res.error);

@@ -52,16 +52,10 @@ class TxPool {
   // unresolved; callers check done() on each ticket.
   void await(std::span<const TicketPtr> tickets);
 
-  // Synchronous pool-routed analogue of Chain::call: assigns the next
-  // nonce, signs, submits, and pumps until the ticket resolves.
-  // `claim` attaches a pre-execution proof claim (batched settlement).
-  chain::Receipt call(const crypto::KeyPair& sender,
-                      const std::string& description,
-                      const std::function<void(chain::CallContext&)>& fn,
-                      AccessSet access = {}, std::uint64_t value = 0,
-                      const chain::Address& pay_to = {},
-                      std::uint64_t gas_limit = 30'000'000,
-                      std::shared_ptr<const chain::ProofClaim> claim = {});
+  // Synchronous pool-routed analogue of Chain::call: submits a built
+  // intent (make_intent at next_nonce) and pumps until its ticket
+  // resolves.
+  chain::Receipt call(TxIntent intent);
 
   // Next assignable nonce for `sender`: one past the highest queued
   // intent, or the chain nonce when nothing is queued.

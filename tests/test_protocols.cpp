@@ -286,6 +286,33 @@ TEST_F(ExchangeFixture, FalsePredicateCannotBeOffered) {
   EXPECT_FALSE(ex.make_offer(*asset, small, "u16").has_value());
 }
 
+// pi_e and pi_p share their public inputs (nonce, c_d, ct...), so the
+// buyer must pick the pi_p key from the predicate it asked for: a
+// token's public pi_e posing as a "u16" proof is rejected.
+TEST_F(ExchangeFixture, OfferCannotPassEncryptionProofAsPredicateProof) {
+  const Predicate small = [](gadgets::CircuitBuilder& bld,
+                             std::span<const gadgets::Wire> data) {
+    for (const auto w : data) bld.assert_range(w, 16);
+  };
+  // An honest offer makes the pi_p/u16/4 key exist.
+  auto honest = tp().publish(alice, make_data(4, 60));
+  ASSERT_TRUE(honest);
+  auto good = ex.make_offer(*honest, small, "u16");
+  ASSERT_TRUE(good);
+  ASSERT_TRUE(ex.verify_offer(*good));
+
+  std::vector<Fr> big{Fr::from_u64(1) + Fr::from_u64(1u << 20),
+                      Fr::from_u64(2), Fr::from_u64(3), Fr::from_u64(4)};
+  auto asset = tp().publish(alice, big);
+  ASSERT_TRUE(asset);
+  EXPECT_FALSE(ex.make_offer(*asset, small, "u16").has_value());
+  Offer forged;
+  forged.token_id = asset->token_id;
+  forged.predicate_tag = "u16";
+  forged.proof_p = tp().encryption_record(asset->token_id)->proof;
+  EXPECT_FALSE(ex.verify_offer(forged));
+}
+
 TEST_F(ExchangeFixture, OfferForTamperedStorageRejected) {
   auto asset = tp().publish(alice, make_data(4, 1400));
   ASSERT_TRUE(asset);
@@ -401,6 +428,19 @@ TEST_F(ExchangeFixture, SampleDisclosureCannotLie) {
   ASSERT_TRUE(sample2);
   sample2->token_id = other->token_id;
   EXPECT_FALSE(ex.verify_sample(*sample2));
+}
+
+TEST_F(ExchangeFixture, SampleIndexIsBoundToProof) {
+  auto asset = tp().publish(alice, make_data(4, 2400));
+  ASSERT_TRUE(asset);
+  // Both pi_s keys exist, so the check below is a real verification.
+  ASSERT_TRUE(ex.disclose_sample(*asset, 2));
+  auto sample = ex.disclose_sample(*asset, 1);
+  ASSERT_TRUE(sample);
+  ASSERT_TRUE(ex.verify_sample(*sample));
+  // The proof opens entry 1; it must not vouch for the same value at 2.
+  sample->index = 2;
+  EXPECT_FALSE(ex.verify_sample(*sample));
 }
 
 TEST_F(ExchangeFixture, SettleBatchSettlesEachExactlyOnce) {

@@ -300,6 +300,51 @@ TEST_F(RpcFixture, FullExchangeOverUnixSocket) {
   EXPECT_TRUE(sys().chain().validate_chain());
 }
 
+// The refund path drives the dispatcher directly: the buyer reclaims an
+// expired escrow exactly once, through the same builder as
+// KeySecureExchange::refund.
+TEST_F(RpcFixture, RefundAfterDeadline) {
+  std::uint64_t id = 9000;
+  const auto one = [&](Request rq) {
+    const std::vector<Request> round{std::move(rq)};
+    return disp().run(round).at(0);
+  };
+  const auto seller = one(make_rq(Op::kRegister, id++, 0, 100'000));
+  const auto buyer = one(make_rq(Op::kRegister, id++, 0, 50'000));
+  ASSERT_EQ(seller.status, Status::kOk);
+  ASSERT_EQ(buyer.status, Status::kOk);
+  const auto pub = one(make_rq(Op::kPublish, id++, seller.value, 0, 0, 0,
+                               {Fr::from_u64(31), Fr::from_u64(32)}));
+  ASSERT_EQ(pub.status, Status::kOk);
+  const auto offer = one(make_rq(Op::kOffer, id++, seller.value, pub.value));
+  ASSERT_EQ(offer.status, Status::kOk);
+  const auto lock = one(make_rq(Op::kLock, id++, buyer.value, offer.value,
+                                4'000, /*timeout=*/2));
+  ASSERT_EQ(lock.status, Status::kOk) << lock.text;
+  const auto balance = [&] {
+    return one(make_rq(Op::kReadBalance, id++, buyer.value)).value;
+  };
+  EXPECT_EQ(balance(), 50'000u - 4'000u);
+
+  // Before the deadline the arbiter refuses.
+  EXPECT_EQ(one(make_rq(Op::kRefund, id++, buyer.value, lock.value)).status,
+            Status::kRejected);
+  sys().chain().advance_blocks(3);
+  const auto refund = one(make_rq(Op::kRefund, id++, buyer.value, lock.value));
+  ASSERT_EQ(refund.status, Status::kOk) << refund.text;
+  EXPECT_EQ(balance(), 50'000u);
+  const auto xi = one(make_rq(Op::kReadExchange, id++, 0, lock.value));
+  EXPECT_EQ(xi.value, static_cast<std::uint64_t>(ExchangeState::kRefunded));
+
+  // A second refund, and a refund of exchange 0, are rejected.
+  EXPECT_EQ(one(make_rq(Op::kRefund, id++, buyer.value, lock.value)).status,
+            Status::kRejected);
+  EXPECT_EQ(one(make_rq(Op::kRefund, id++, buyer.value, 0)).status,
+            Status::kRejected);
+  EXPECT_EQ(balance(), 50'000u);
+  EXPECT_TRUE(sys().chain().validate_chain());
+}
+
 TEST_F(RpcFixture, OverloadShedsTypedNeverSilent) {
   TempDir dir;
   fs::create_directories(dir.path);

@@ -216,14 +216,7 @@ TEST(TxpoolNonces, BatchRejectsReplayedAndDuplicateNonces) {
   // first (canonical order) wins, the second is a replay.
   std::vector<chain::BatchTx> batch;
   for (int i = 0; i < 2; ++i) {
-    const TxIntent in = w.bump(0, /*nonce=*/0, 1 + i);
-    chain::BatchTx t;
-    t.sender = in.sender;
-    t.description = in.description;
-    t.nonce = in.nonce;
-    t.sig = in.sig;
-    t.fn = in.fn;
-    batch.push_back(std::move(t));
+    batch.push_back(w.bump(0, /*nonce=*/0, 1 + i).tx);
   }
   const auto receipts = w.chain.execute_batch(batch, /*parallel=*/false);
   EXPECT_TRUE(receipts[0].success);
@@ -231,15 +224,9 @@ TEST(TxpoolNonces, BatchRejectsReplayedAndDuplicateNonces) {
   EXPECT_NE(receipts[1].error.find("replay"), std::string::npos);
   EXPECT_EQ(w.chain.account_nonce(w.addrs[0]), 1u);
   // A forged signature (wrong nonce signed) never authenticates.
-  TxIntent forged = w.bump(0, /*nonce=*/0, 1);
+  chain::BatchTx forged = w.bump(0, /*nonce=*/0, 1).tx;
   forged.nonce = 1;  // claims nonce 1, signed for nonce 0
-  chain::BatchTx t;
-  t.sender = forged.sender;
-  t.description = forged.description;
-  t.nonce = forged.nonce;
-  t.sig = forged.sig;
-  t.fn = forged.fn;
-  const auto r2 = w.chain.execute_batch({t}, false);
+  const auto r2 = w.chain.execute_batch({forged}, false);
   EXPECT_FALSE(r2[0].success);
   EXPECT_NE(r2[0].error.find("signature"), std::string::npos);
 }
@@ -616,9 +603,9 @@ TEST(TxpoolCall, SynchronousCallAssignsNoncesAndResolves) {
   World w;
   Counter* c = w.counter;
   for (int i = 0; i < 3; ++i) {
-    const auto r = w.pool->call(
-        w.keys[0], "sync " + std::to_string(i),
-        [c](CallContext& ctx) { c->add(ctx, "sync", 2); });
+    const auto r = w.pool->call(make_intent(
+        w.keys[0], w.pool->next_nonce(w.addrs[0]), "sync " + std::to_string(i),
+        [c](CallContext& ctx) { c->add(ctx, "sync", 2); }));
     EXPECT_TRUE(r.success) << r.error;
   }
   EXPECT_EQ(w.chain.account_nonce(w.addrs[0]), 3u);
@@ -629,7 +616,9 @@ TEST(TxpoolCall, MixedPoolAndDirectCallsShareNonceStream) {
   World w;
   ASSERT_TRUE(
       w.chain.call(w.keys[0], "direct", [](CallContext&) {}).success);
-  const auto r = w.pool->call(w.keys[0], "pooled", [](CallContext&) {});
+  const auto r = w.pool->call(make_intent(
+      w.keys[0], w.pool->next_nonce(w.addrs[0]), "pooled",
+      [](CallContext&) {}));
   EXPECT_TRUE(r.success) << r.error;
   ASSERT_TRUE(
       w.chain.call(w.keys[0], "direct again", [](CallContext&) {}).success);
@@ -655,7 +644,9 @@ TEST(TxpoolCall, DirectAndPooledCallsSealIdenticalBytes) {
                           const std::function<void(CallContext&)>& fn,
                           std::uint64_t value) {
       const chain::Address pay_to = value > 0 ? escrow : chain::Address{};
-      return pooled ? w.pool->call(w.keys[1], desc, fn, {}, value, pay_to)
+      return pooled ? w.pool->call(make_intent(
+                          w.keys[1], w.pool->next_nonce(w.addrs[1]), desc, fn,
+                          {}, value, pay_to))
                     : w.chain.call(w.keys[1], desc, fn, value, pay_to);
     };
     EXPECT_TRUE(
