@@ -208,7 +208,28 @@ void BM_Ntt(benchmark::State& state) {
   }
   state.SetComplexityN(static_cast<std::int64_t>(n));
 }
-BENCHMARK(BM_Ntt)->Arg(1024)->Arg(4096)->Arg(16384)->Complexity();
+BENCHMARK(BM_Ntt)->Arg(1024)->Arg(4096)->Arg(16384)->Arg(65536)->Complexity();
+
+// The prover's one inverse transform per proof (the quotient), on the
+// same sizes; 65536 is pi_e/8's 4n coset.
+void BM_CosetIfft(benchmark::State& state) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  ff::EvaluationDomain domain(n);
+  std::vector<Fr> v(n);
+  for (auto& x : v) x = rng().random_fr();
+  const Fr shift = Fr::generator();
+  for (auto _ : state) {
+    domain.coset_ifft(v, shift);
+    benchmark::DoNotOptimize(v.data());
+  }
+  state.SetComplexityN(static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_CosetIfft)
+    ->Arg(1024)
+    ->Arg(4096)
+    ->Arg(16384)
+    ->Arg(65536)
+    ->Complexity();
 
 void BM_MimcBlock(benchmark::State& state) {
   const Fr k = rng().random_fr();

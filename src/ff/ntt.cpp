@@ -39,15 +39,14 @@ EvaluationDomain::EvaluationDomain(std::size_t size) : size_(size) {
     throw std::invalid_argument("domain size must be a power of two");
   }
   check_two_adic_root();
-  log_size_ = 0;
-  while ((1ull << log_size_) < size) ++log_size_;
-  if (log_size_ > Fr::TWO_ADICITY) {
+  std::size_t log_size = 0;
+  while ((1ull << log_size) < size) ++log_size;
+  if (log_size > Fr::TWO_ADICITY) {
     throw std::invalid_argument("domain larger than 2-adicity allows");
   }
   ZKDET_DCHECK(check::valid_ntt_domain(size),
                "domain precondition checker disagrees with constructor");
   omega_ = root_of_unity(size_);
-  omega_inv_ = omega_.inverse();
   size_inv_ = Fr::from_u64(size_).inverse();
   powers_.resize(size_);
   powers_[0] = Fr::one();
@@ -60,20 +59,25 @@ namespace {
 // would cost more than it saves.
 constexpr std::size_t kNttParallelSize = 1ull << 12;
 
-// One block's butterflies for the j-range [j0, j1), with w = wm^j0.
-void butterflies(std::vector<Fr>& a, const Fr& wm, std::size_t start,
-                 std::size_t half, std::size_t j0, std::size_t j1) {
-  Fr w = j0 == 0 ? Fr::one() : wm.pow(U256{j0});
+// One block's butterflies for the j-range [j0, j1). Twiddle j is read
+// from the domain's table of powers: omega_m^j = powers[j * size/m]
+// forward and omega_m^-j = powers[size - j * size/m] inverse, i.e.
+// powers[(j * tw_step) mod size] with tw_step = size/m or size - size/m.
+void butterflies(std::vector<Fr>& a, const std::vector<Fr>& powers,
+                 std::size_t tw_step, std::size_t start, std::size_t half,
+                 std::size_t j0, std::size_t j1) {
+  const std::size_t mask = powers.size() - 1;
   for (std::size_t j = j0; j < j1; ++j) {
-    const Fr t = w * a[start + j + half];
+    const Fr t = powers[(j * tw_step) & mask] * a[start + j + half];
     const Fr u = a[start + j];
     a[start + j] = u + t;
     a[start + j + half] = u - t;
-    w *= wm;
   }
 }
 
-void ntt_in_place(std::vector<Fr>& a, const Fr& root, std::size_t log_n) {
+// `powers` holds omega^i for i in [0, a.size()).
+void ntt_in_place(std::vector<Fr>& a, const std::vector<Fr>& powers,
+                  bool inverse) {
   runtime::ScopedTimer timer(runtime::counters::ntt_ns);
   const std::size_t n = a.size();
   // bit reversal permutation
@@ -85,26 +89,23 @@ void ntt_in_place(std::vector<Fr>& a, const Fr& root, std::size_t log_n) {
   }
   auto& pool = runtime::ThreadPool::instance();
   const bool parallel = n >= kNttParallelSize && pool.concurrency() > 1;
-  for (std::size_t s = 1; s <= log_n; ++s) {
-    const std::size_t m = 1ull << s;
+  for (std::size_t m = 2; m <= n; m <<= 1) {
     const std::size_t half = m / 2;
     const std::size_t blocks = n / m;
-    Fr wm = root;
-    for (std::size_t k = s; k < log_n; ++k) wm = wm.square();
+    const std::size_t tw_step = inverse ? n - blocks : blocks;
     if (!parallel) {
       for (std::size_t start = 0; start < n; start += m) {
-        butterflies(a, wm, start, half, 0, half);
+        butterflies(a, powers, tw_step, start, half, 0, half);
       }
     } else if (blocks >= pool.concurrency()) {
       // Early layers: many independent blocks — one chunk = some blocks.
       pool.parallel_for(blocks, [&](std::size_t lo, std::size_t hi) {
         for (std::size_t b = lo; b < hi; ++b) {
-          butterflies(a, wm, b * m, half, 0, half);
+          butterflies(a, powers, tw_step, b * m, half, 0, half);
         }
       });
     } else {
-      // Late layers: few wide blocks — split each block's j-range; a
-      // chunk's starting twiddle is recovered with one pow.
+      // Late layers: few wide blocks — split each block's j-range.
       const std::size_t piece =
           std::max<std::size_t>(1024, half / (4 * pool.concurrency()));
       const std::size_t per_block = (half + piece - 1) / piece;
@@ -113,7 +114,7 @@ void ntt_in_place(std::vector<Fr>& a, const Fr& root, std::size_t log_n) {
                           for (std::size_t t = lo; t < hi; ++t) {
                             const std::size_t b = t / per_block;
                             const std::size_t j0 = (t % per_block) * piece;
-                            butterflies(a, wm, b * m, half, j0,
+                            butterflies(a, powers, tw_step, b * m, half, j0,
                                         std::min(half, j0 + piece));
                           }
                         });
@@ -147,13 +148,13 @@ void scale_by_powers(std::vector<Fr>& a, const Fr& base) {
 void EvaluationDomain::fft(std::vector<Fr>& a) const {
   ZKDET_CHECK(a.size() == size_, "fft: vector size ", a.size(),
               " does not match domain size ", size_);
-  ntt_in_place(a, omega_, log_size_);
+  ntt_in_place(a, powers_, false);
 }
 
 void EvaluationDomain::ifft(std::vector<Fr>& a) const {
   ZKDET_CHECK(a.size() == size_, "ifft: vector size ", a.size(),
               " does not match domain size ", size_);
-  ntt_in_place(a, omega_inv_, log_size_);
+  ntt_in_place(a, powers_, true);
   const Fr s = size_inv_;
   runtime::ThreadPool::instance().parallel_for(
       a.size(), [&](std::size_t lo, std::size_t hi) {

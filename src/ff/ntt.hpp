@@ -2,9 +2,10 @@
 //
 // Fr has 2-adicity 28 (r - 1 = 2^28 * odd), so power-of-two evaluation
 // domains up to 2^28 points exist. EvaluationDomain caches the root of
-// unity and its inverse for one size; Plonk uses a size-n domain for
-// witness polynomials and a shifted (coset) size-8n domain for quotient
-// computation (4n would suffice; see ROADMAP item 1).
+// unity and all its powers for one size; both transform directions read
+// their twiddles from that table. Plonk uses a size-n domain for witness
+// polynomials and a shifted (coset) size-4n domain for the quotient,
+// whose degree is at most 3n + 5.
 #pragma once
 
 #include <cstddef>
@@ -25,7 +26,6 @@ class EvaluationDomain {
 
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] const Fr& omega() const { return omega_; }
-  [[nodiscard]] const Fr& omega_inv() const { return omega_inv_; }
   // omega^i, cached for all i in [0, size).
   [[nodiscard]] const Fr& element(std::size_t i) const { return powers_[i]; }
 
@@ -47,9 +47,7 @@ class EvaluationDomain {
 
  private:
   std::size_t size_;
-  std::size_t log_size_;
   Fr omega_;
-  Fr omega_inv_;
   Fr size_inv_;
   std::vector<Fr> powers_;
 };

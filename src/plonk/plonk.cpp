@@ -144,8 +144,11 @@ std::optional<KeyPairResult> preprocess(const ConstraintSystem& cs,
   pk.k1 = Fr::from_u64(kK1);
   pk.k2 = Fr::from_u64(kK2);
   pk.domain = std::make_shared<EvaluationDomain>(n);
-  pk.ext_domain = std::make_shared<EvaluationDomain>(8 * n);
+  pk.ext_domain = std::make_shared<EvaluationDomain>(4 * n);
   pk.coset_shift = Fr::generator();
+  // The quotient t(X) has 3n + 6 coefficients; the coset must hold them.
+  ZKDET_CHECK(3 * n + 6 <= pk.ext_domain->size(), "quotient coset of size ",
+              pk.ext_domain->size(), " cannot hold degree ", 3 * n + 5);
 
   // Cosets {H, k1 H, k2 H} must be pairwise disjoint for the copy
   // constraint encoding to be injective.
@@ -344,7 +347,7 @@ std::optional<Proof> prove(const ProvingKey& pk, const ConstraintSystem& cs,
   proof.cm_z = srs.commit(z_poly);
   transcript.absorb_g1(proof.cm_z);
 
-  // --- round 3: quotient polynomial on an 8n coset ---
+  // --- round 3: quotient polynomial on a 4n coset ---
   const Fr alpha = transcript.challenge("alpha");
 
   const auto extend = [&](const Polynomial& p) {
@@ -378,19 +381,19 @@ std::optional<Proof> prove(const ProvingKey& pk, const ConstraintSystem& cs,
   const std::vector<Fr>& pi_ext = exts[12];
   const std::vector<Fr>& l1_ext = exts[13];
 
-  const std::size_t m = ext.size();  // 8n
+  const std::size_t m = ext.size();  // 4n
   const std::size_t stride = m / n;  // z(omega X) = rotate by stride
 
-  // Z_H(shift * w8^i) cycles with period `stride`.
+  // Z_H(shift * w4n^i) cycles with period `stride`.
   std::vector<Fr> zh_inv_cycle(stride);
   {
     const Fr shift_n = shift.pow(U256{n});
-    const Fr w8n = ext.element(n);  // primitive `stride`-th root
+    const Fr root_stride = ext.element(n);  // primitive `stride`-th root
     std::vector<Fr> vals(stride);
     Fr cur = Fr::one();
     for (std::size_t j = 0; j < stride; ++j) {
       vals[j] = shift_n * cur - Fr::one();
-      cur *= w8n;
+      cur *= root_stride;
     }
     ff::batch_inverse(std::span<Fr>(vals));
     zh_inv_cycle = std::move(vals);

@@ -82,7 +82,7 @@ struct ProvingKey {
   std::size_t ell = 0;
   Fr k1, k2;
   std::shared_ptr<EvaluationDomain> domain;      // size n
-  std::shared_ptr<EvaluationDomain> ext_domain;  // size 8n (quotient coset)
+  std::shared_ptr<EvaluationDomain> ext_domain;  // size 4n (quotient coset)
   Fr coset_shift;
 
   Polynomial qm, ql, qr, qo, qc;  // selector polynomials

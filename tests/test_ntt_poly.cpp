@@ -4,6 +4,8 @@
 
 #include "ff/ntt.hpp"
 #include "ff/polynomial.hpp"
+#include "oracles/ntt.hpp"
+#include "runtime/thread_pool.hpp"
 
 namespace zkdet::ff {
 namespace {
@@ -54,7 +56,48 @@ TEST_P(NttRoundtrip, FftMatchesDirectEvaluation) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, NttRoundtrip,
-                         ::testing::Values(1, 2, 4, 8, 16, 64, 256, 1024));
+                         ::testing::Values(1, 2, 4, 8, 16, 64, 256, 1024, 4096,
+                                           16384));
+
+// The table-twiddle NTT against the repeated-squaring oracle, byte for
+// byte, from the parallel threshold (2^12) up to pi_e/8's 4n coset
+// (2^16) and one size beyond. Width 1 runs the serial loop; width 4 runs
+// both parallel schedules (whole blocks early, split blocks late).
+class NttDifferential : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(NttDifferential, MatchesOracleAtPoolWidthsOneAndFour) {
+  const std::size_t n = std::size_t{1} << GetParam();
+  const EvaluationDomain d(n);
+  std::mt19937_64 rng(n + 3);
+  const std::vector<Fr> input = random_coeffs(n, rng);
+  const Fr shift = Fr::generator();
+  const std::vector<Fr> fft_ref = oracle::ntt_fft(input);
+  const std::vector<Fr> ifft_ref = oracle::ntt_ifft(input);
+  const std::vector<Fr> coset_fft_ref = oracle::ntt_coset_fft(input, shift);
+  const std::vector<Fr> coset_ifft_ref = oracle::ntt_coset_ifft(input, shift);
+
+  auto& pool = runtime::ThreadPool::instance();
+  const std::size_t saved = pool.concurrency();
+  for (const std::size_t workers : {1u, 4u}) {
+    pool.configure(workers);
+    std::vector<Fr> v = input;
+    d.fft(v);
+    EXPECT_EQ(v, fft_ref) << "fft, workers=" << workers;
+    v = input;
+    d.ifft(v);
+    EXPECT_EQ(v, ifft_ref) << "ifft, workers=" << workers;
+    v = input;
+    d.coset_fft(v, shift);
+    EXPECT_EQ(v, coset_fft_ref) << "coset_fft, workers=" << workers;
+    v = input;
+    d.coset_ifft(v, shift);
+    EXPECT_EQ(v, coset_ifft_ref) << "coset_ifft, workers=" << workers;
+  }
+  pool.configure(saved);
+}
+
+INSTANTIATE_TEST_SUITE_P(LogSizes, NttDifferential,
+                         ::testing::Range<std::size_t>(12, 18));
 
 TEST(Ntt, RejectsNonPowerOfTwo) {
   EXPECT_THROW(EvaluationDomain(3), std::invalid_argument);

@@ -2,7 +2,10 @@
 
 #include "plonk/plonk.hpp"
 
+#include "core/circuits.hpp"
+#include "crypto/sha256.hpp"
 #include "ec/pairing.hpp"
+#include "runtime/thread_pool.hpp"
 
 namespace zkdet::plonk {
 namespace {
@@ -427,6 +430,64 @@ TEST(ConstraintSystem, SatisfiabilityChecks) {
   EXPECT_FALSE(cs.is_satisfied({Fr::zero()}));
 }
 
+// Golden proofs: the SHA-256 of the proof bytes for a fixed SRS seed,
+// witness and prover Drbg. t(X) is unique, so a prover change that keeps
+// the math (domain sizes, NTT schedule, worker count) must keep these
+// digests; a change to the circuits or the transcript re-records them.
+//
+// Proves `cs` at pool widths 1 and 4 and returns the hex SHA-256 of the
+// proof bytes, failing the test if the widths disagree or the proof does
+// not verify.
+std::string proof_digest(const ConstraintSystem& cs,
+                         const std::vector<Fr>& witness, std::size_t srs_degree,
+                         std::uint64_t prover_seed) {
+  Drbg srs_rng(1);
+  const Srs srs = Srs::setup(srs_degree, srs_rng);
+  auto keys = preprocess(cs, srs);
+  EXPECT_TRUE(keys.has_value());
+  if (!keys) return {};
+  auto& pool = runtime::ThreadPool::instance();
+  const std::size_t saved = pool.concurrency();
+  std::string first;
+  for (const std::size_t workers : {1u, 4u}) {
+    pool.configure(workers);
+    Drbg rng(prover_seed);
+    const auto proof = prove(keys->pk, cs, srs, witness, rng);
+    EXPECT_TRUE(proof.has_value());
+    if (!proof) break;
+    EXPECT_TRUE(verify(keys->vk, cs.extract_public_inputs(witness), *proof));
+    const std::string digest = crypto::hex_encode(
+        crypto::Sha256::digest(std::span<const std::uint8_t>(proof->to_bytes())));
+    if (first.empty()) first = digest;
+    EXPECT_EQ(digest, first) << "workers=" << workers;
+  }
+  pool.configure(saved);
+  return first;
+}
+
+// Three rows, padded to the smallest domain n = 8, where deg t = 3n + 5
+// = 29 sits just under 4n = 32.
+TEST(PlonkGolden, CubicAtSmallestDomain) {
+  const CubicCircuit c(3);
+  ASSERT_EQ(c.cs.domain_size(), 8u);
+  EXPECT_EQ(proof_digest(c.cs, c.witness, 64, 2),
+            "257d534010615c06a9fac2f2fa144326e249ba838044b01ad35e87adc3c04e35");
+}
+
+// pi_e over two entries: n = 4096, the parallel NTT threshold.
+TEST(PlonkGolden, EncryptionProofTwoEntries) {
+  Drbg rng("golden-pi-e", 2);
+  const std::vector<Fr> plain = {rng.random_fr(), rng.random_fr()};
+  const Fr key = rng.random_fr();
+  const Fr nonce = rng.random_fr();
+  const Fr blinder = rng.random_fr();
+  const gadgets::CircuitBuilder bld =
+      core::build_encryption_circuit(plain, key, nonce, blinder);
+  ASSERT_EQ(bld.cs().domain_size(), 4096u);
+  EXPECT_EQ(proof_digest(bld.cs(), bld.witness(), 4096 + 8, 3),
+            "8a9e077ae8c5aaa633f20e3eed92990db1842d214c19ee365420dd6dd5e960a9");
+}
+
 TEST(ConstraintSystem, DomainSizePadding) {
   ConstraintSystem cs;
   EXPECT_EQ(cs.domain_size(), 8u);
@@ -434,6 +495,9 @@ TEST(ConstraintSystem, DomainSizePadding) {
   for (int i = 0; i < 9; ++i) {
     cs.add_gate({Fr::zero(), Fr::one(), Fr::zero(), Fr::zero(), Fr::zero(), a,
                  0, 0});
+    // The prover's 4n quotient coset holds deg t = 3n + 5 only for n >= 6,
+    // so no circuit may pad below 8 rows.
+    EXPECT_GE(cs.domain_size(), 8u) << "rows=" << cs.num_rows();
   }
   EXPECT_EQ(cs.domain_size(), 16u);
 }
