@@ -9,7 +9,9 @@
 //
 // Extra mode: `--msm-sweep[=quick]` skips google-benchmark and times the
 // signed-digit affine-bucket MSM for G1 and G2 across n = 2^8..2^15
-// (quick: 2^8..2^10), emitting BENCH_msm.json.
+// (quick: 2^8..2^12, which reaches the batch-affine buckets at 2^12),
+// emitting BENCH_msm.json. At every n it also checks that the MSM splits:
+// msm(s, P) == msm(first half) + msm(second half); a mismatch exits 1.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -195,7 +197,8 @@ void BM_Msm(benchmark::State& state) {
   }
   state.SetComplexityN(static_cast<std::int64_t>(n));
 }
-BENCHMARK(BM_Msm)->Arg(256)->Arg(1024)->Arg(4096)->Complexity();
+// 16384 is the pi_e/8 commitment size.
+BENCHMARK(BM_Msm)->Arg(256)->Arg(1024)->Arg(4096)->Arg(16384)->Complexity();
 
 void BM_Ntt(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
@@ -266,6 +269,7 @@ struct MsmRow {
   std::string group;
   std::size_t n = 0;
   double affine_seconds = 0;
+  bool split_ok = false;
 };
 
 // Times `fn()` with enough repetitions to dominate clock noise on small
@@ -282,29 +286,31 @@ double time_best(Fn&& fn, int reps) {
 }
 
 // Signed-digit windows over a pre-normalized affine table, matching how
-// Srs::commit() consumes g1_powers_affine().
+// Srs::commit() consumes g1_powers_affine(). The first n terms must sum
+// to the sum of their two halves, each half an MSM of its own.
 template <typename Aff, typename AffMsm>
 MsmRow sweep_one(const char* group, std::size_t n,
                  const std::vector<Fr>& scalars, const std::vector<Aff>& affine,
                  AffMsm&& aff_msm) {
   const int reps = n <= (1u << 10) ? 5 : (n <= (1u << 12) ? 3 : 2);
+  const auto run = [&](std::size_t lo, std::size_t len) {
+    return aff_msm(std::span<const Fr>(scalars.data() + lo, len),
+                   std::span<const Aff>(affine.data() + lo, len));
+  };
   MsmRow row;
   row.group = group;
   row.n = n;
-  row.affine_seconds = time_best(
-      [&] {
-        benchmark::DoNotOptimize(aff_msm(
-            std::span<const Fr>(scalars.data(), n),
-            std::span<const Aff>(affine.data(), n)));
-      },
-      reps);
-  std::printf("  %-4s n=%-6zu affine %-12s\n", group, n,
-              bench::fmt_seconds(row.affine_seconds).c_str());
+  row.affine_seconds =
+      time_best([&] { benchmark::DoNotOptimize(run(0, n)); }, reps);
+  row.split_ok = run(0, n) == run(0, n / 2) + run(n / 2, n - n / 2);
+  std::printf("  %-4s n=%-6zu affine %-12s split %s\n", group, n,
+              bench::fmt_seconds(row.affine_seconds).c_str(),
+              row.split_ok ? "ok" : "MISMATCH");
   return row;
 }
 
 int run_msm_sweep(bool quick) {
-  const std::size_t max_log2 = quick ? 10 : 15;
+  const std::size_t max_log2 = quick ? 12 : 15;
   const std::size_t max_n = std::size_t{1} << max_log2;
   std::printf("MSM sweep (%s): n = 2^8..2^%zu, signed-digit affine buckets\n",
               quick ? "quick" : "full", max_log2);
@@ -346,12 +352,16 @@ int run_msm_sweep(bool quick) {
        << "  \"results\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     json << "    {\"group\": \"" << rows[i].group << "\", \"n\": " << rows[i].n
-         << ", \"affine_seconds\": " << rows[i].affine_seconds << "}"
+         << ", \"affine_seconds\": " << rows[i].affine_seconds
+         << ", \"split_ok\": " << (rows[i].split_ok ? "true" : "false") << "}"
          << (i + 1 < rows.size() ? "," : "") << "\n";
   }
   json << "  ]\n}\n";
   std::printf("wrote BENCH_msm.json\n");
-  return 0;
+  const bool ok = std::all_of(rows.begin(), rows.end(),
+                              [](const MsmRow& row) { return row.split_ok; });
+  if (!ok) std::printf("FAIL: an MSM does not split into its halves\n");
+  return ok ? 0 : 1;
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
-// Fuzz target: u256 parsing, field arithmetic and the test oracles'
-// bigint round-trips.
+// Fuzz target: u256 parsing, field arithmetic (the Montgomery multiply
+// against the test oracles' looped CIOS) and the oracles' bigint
+// round-trips.
 //
 // The parsers are the first line of defense for every externally
 // supplied scalar (proof bytes, decimal constants); this harness feeds
@@ -15,10 +16,12 @@
 #include "ff/bn254.hpp"
 #include "ff/u256.hpp"
 #include "oracles/bigint.hpp"
+#include "oracles/montgomery.hpp"
 
 using namespace zkdet::ff;
 using zkdet::oracle::BigUInt;
 using zkdet::oracle::bigint_div_u256;
+using zkdet::oracle::mont_mul_cios;
 
 namespace {
 
@@ -26,6 +29,18 @@ U256 u256_from_raw(const std::uint8_t* data) {
   std::array<std::uint8_t, 32> buf{};
   std::memcpy(buf.data(), data, 32);
   return u256_from_bytes(buf);
+}
+
+// The product of a and b, each reduced below F::MOD and read as a raw
+// Montgomery word, must match the looped CIOS oracle.
+template <typename F>
+void check_mul(const U256& a, const U256& b) {
+  U256 ra = a;
+  U256 rb = b;
+  while (u256_geq(ra, F::MOD)) u256_sub(ra, ra, F::MOD);
+  while (u256_geq(rb, F::MOD)) u256_sub(rb, rb, F::MOD);
+  const U256 got = (F::from_raw(ra) * F::from_raw(rb)).raw();
+  if (got != mont_mul_cios(ra, rb, F::MOD, F::INV)) __builtin_trap();
 }
 
 }  // namespace
@@ -61,7 +76,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     }
     case 2: {
       // Field reduction: reduce_from lands in canonical range; add/sub
-      // round-trips.
+      // round-trips; Fp and Fr products match the oracle CIOS.
       if (size < 64) break;
       const U256 a = u256_from_raw(data);
       const U256 b = u256_from_raw(data + 32);
@@ -70,6 +85,8 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
       if (!u256_less(fa.to_canonical(), Fr::MOD)) __builtin_trap();
       if ((fa + fb - fb) != fa) __builtin_trap();
       if (!fb.is_zero() && (fa * fb * fb.inverse()) != fa) __builtin_trap();
+      check_mul<Fp>(a, b);
+      check_mul<Fr>(a, b);
       break;
     }
     default: {

@@ -78,6 +78,8 @@ ctest --test-dir build --output-on-failure -j
 
 if [[ "$QUICK" == "1" ]]; then
   echo "=== bench: MSM sweep smoke (quick, writes BENCH_msm.json) ==="
+  # n = 2^8..2^12 for G1 and G2, so both bucket accumulators run; fails
+  # unless every MSM equals the sum of the MSMs of its two halves.
   cmake --build build -j --target bench_primitives
   ./build/bench/bench_primitives --msm-sweep=quick
   echo "=== bench: chain pipeline smoke (quick, writes BENCH_chain.json) ==="

@@ -1,8 +1,9 @@
 #include "ec/msm.hpp"
 
 #include <algorithm>
-#include "check/check.hpp"
 
+#include "check/check.hpp"
+#include "ff/batch_inverse.hpp"
 #include "runtime/stats.hpp"
 #include "runtime/thread_pool.hpp"
 
@@ -20,6 +21,18 @@ constexpr std::size_t kMsmParallelThreshold = 256;
 // Below this size the bucket machinery (digit decomposition, bucket
 // array setup) costs more than naive double-and-add.
 constexpr std::size_t kMsmNaiveThreshold = 8;
+
+// Pending bucket adds that share one inversion: at most 256, and at most
+// half the window's buckets, so a batch can fill before most bases find
+// their bucket busy.
+constexpr std::size_t kBatchAffineSize = 256;
+
+// Full-width windows with at least this many buckets (c >= 9, which
+// msm_window_size picks from n = 2219 on) use batch-affine buckets. With
+// fewer, a batch holds at most 64 adds, too few to repay its Fermat
+// inversion (~400 muls): it would cost more than mixed adds. Small
+// inputs, like the verifier's 18-term MSM, stay on Jacobian buckets.
+constexpr std::size_t kBatchAffineMinBuckets = 256;
 
 template <typename Point>
 Point msm_naive_impl(std::span<const Fr> scalars, std::span<const Point> points) {
@@ -65,9 +78,161 @@ void signed_digits(const U256& k, std::size_t c, std::size_t num_windows,
   }
 }
 
-// Signed-digit Pippenger over affine bases: bucket accumulation is a
-// mixed add, negative digits use the free affine negation, and only
-// 2^(c-1) buckets are needed per window.
+// sum_j (j+1) * bucket[j] by the running-sum trick, where bucket j is
+// buckets[j] plus, if there is an overflow array, overflow[j].
+template <typename P, typename Bucket>
+P running_sum(const std::vector<Bucket>& buckets,
+              const std::vector<P>& overflow) {
+  P running = P::identity();
+  P acc = P::identity();
+  for (std::size_t j = buckets.size(); j-- > 0;) {
+    running += buckets[j];
+    if (!overflow.empty()) running += overflow[j];
+    acc += running;
+  }
+  return acc;
+}
+
+// Mixed-add Jacobian buckets: every bucket += ±base is one mixed add
+// (~11 muls).
+template <typename Traits>
+Point<Traits> window_sum_jacobian(const std::int32_t* wd,
+                                  std::span<const AffinePoint<Traits>> points,
+                                  std::size_t num_buckets) {
+  using P = Point<Traits>;
+  std::vector<P> buckets(num_buckets, P::identity());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const std::int32_t d = wd[i];
+    if (d > 0) {
+      buckets[static_cast<std::size_t>(d) - 1] += points[i];
+    } else if (d < 0) {
+      buckets[static_cast<std::size_t>(-d) - 1] -= points[i];
+    }
+  }
+  return running_sum(buckets, std::vector<P>{});
+}
+
+// Batch-affine buckets: the buckets stay affine, and a batch of pending
+// adds bucket += ±base, each into a different bucket, shares one
+// ff::batch_inverse of their x-differences. An add then costs ~6 muls
+// plus its share of the inversion, instead of a mixed add's ~11. A base
+// whose bucket already has an add pending waits for the next batch, once. A base that cannot
+// wait, and the rare base with its bucket's x (a doubling or a
+// cancellation), goes into that bucket's Jacobian overflow by a mixed
+// add; the overflow array is only allocated when that happens.
+template <typename Traits>
+class BatchAffineBuckets {
+ public:
+  using A = AffinePoint<Traits>;
+  using P = Point<Traits>;
+  using F = typename Traits::Field;
+
+  explicit BatchAffineBuckets(std::size_t num_buckets)
+      : batch_size_(std::min(kBatchAffineSize, num_buckets / 2)),
+        buckets_(num_buckets),
+        busy_(num_buckets, 0) {
+    pending_.reserve(batch_size_);
+    dx_.reserve(batch_size_);
+  }
+
+  void add(std::size_t bucket, const A& base) {
+    schedule(bucket, base, /*may_wait=*/true);
+    if (pending_.size() >= batch_size_) run_batch();
+  }
+
+  // Runs what is left, then sums the window.
+  P window_sum() {
+    while (!pending_.empty() || !waiting_.empty()) run_batch();
+    return running_sum(buckets_, overflow_);
+  }
+
+ private:
+  struct Add {
+    std::size_t bucket;
+    A base;
+  };
+
+  void schedule(std::size_t bucket, const A& base, bool may_wait) {
+    if (busy_[bucket] != 0) {
+      if (may_wait && waiting_.size() < batch_size_) {
+        waiting_.push_back({bucket, base});
+      } else {
+        to_overflow(bucket, base);
+      }
+      return;
+    }
+    A& acc = buckets_[bucket];
+    if (acc.is_identity()) {
+      acc = base;
+    } else if (acc.x == base.x) {
+      to_overflow(bucket, base);
+    } else {
+      busy_[bucket] = 1;
+      pending_.push_back({bucket, base});
+      dx_.push_back(base.x - acc.x);
+    }
+  }
+
+  void to_overflow(std::size_t bucket, const A& base) {
+    if (overflow_.empty()) overflow_.assign(buckets_.size(), P::identity());
+    overflow_[bucket] += base;
+  }
+
+  // Applies the pending adds with one shared inversion, then gives each
+  // waiting base its one retry.
+  void run_batch() {
+    if (!pending_.empty()) {
+      ff::batch_inverse(std::span<F>(dx_));
+      for (std::size_t k = 0; k < pending_.size(); ++k) {
+        const Add& a = pending_[k];
+        A& acc = buckets_[a.bucket];
+        const F lambda = (a.base.y - acc.y) * dx_[k];
+        const F x3 = lambda.square() - acc.x - a.base.x;
+        acc.y = lambda * (acc.x - x3) - acc.y;
+        acc.x = x3;
+        busy_[a.bucket] = 0;
+      }
+      pending_.clear();
+      dx_.clear();
+    }
+    retry_.swap(waiting_);
+    for (const Add& a : retry_) schedule(a.bucket, a.base, /*may_wait=*/false);
+    retry_.clear();
+  }
+
+  std::size_t batch_size_;
+  std::vector<A> buckets_;
+  std::vector<std::uint8_t> busy_;  // 1 while the bucket has an add pending
+  std::vector<P> overflow_;
+  std::vector<Add> pending_;
+  std::vector<F> dx_;  // base.x - bucket.x per pending add
+  std::vector<Add> waiting_;
+  std::vector<Add> retry_;
+};
+
+template <typename Traits>
+Point<Traits> window_sum_batch_affine(
+    const std::int32_t* wd, std::span<const AffinePoint<Traits>> points,
+    std::size_t num_buckets) {
+  BatchAffineBuckets<Traits> buckets(num_buckets);
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const std::int32_t d = wd[i];
+    if (d == 0 || points[i].is_identity()) continue;
+    if (d > 0) {
+      buckets.add(static_cast<std::size_t>(d) - 1, points[i]);
+    } else {
+      buckets.add(static_cast<std::size_t>(-d) - 1, -points[i]);
+    }
+  }
+  return buckets.window_sum();
+}
+
+// Signed-digit Pippenger over affine bases: negative digits use the free
+// affine negation, and only 2^(c-1) buckets are needed per window.
+// Full-width windows with kBatchAffineMinBuckets buckets or more
+// accumulate in batch-affine buckets; small inputs and the top window,
+// whose few live buckets would make nearly every base wait, keep
+// mixed-add Jacobian buckets.
 template <typename Traits>
 Point<Traits> msm_affine_impl(std::span<const Fr> scalars,
                               std::span<const AffinePoint<Traits>> points) {
@@ -97,24 +262,11 @@ Point<Traits> msm_affine_impl(std::span<const Fr> scalars,
   std::vector<P> window_sums(num_windows, P::identity());
 
   const auto process_window = [&](std::size_t w) {
-    std::vector<P> buckets(num_buckets, P::identity());
     const std::int32_t* wd = digits.data() + w * n;
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::int32_t d = wd[i];
-      if (d > 0) {
-        buckets[static_cast<std::size_t>(d) - 1] += points[i];
-      } else if (d < 0) {
-        buckets[static_cast<std::size_t>(-d) - 1] -= points[i];
-      }
-    }
-    // running-sum trick: sum_j (j+1) * bucket[j]
-    P running = P::identity();
-    P acc = P::identity();
-    for (std::size_t j = buckets.size(); j-- > 0;) {
-      running += buckets[j];
-      acc += running;
-    }
-    window_sums[w] = acc;
+    const bool full_width = (w + 1) * c <= kScalarBits;
+    window_sums[w] = num_buckets >= kBatchAffineMinBuckets && full_width
+                         ? window_sum_batch_affine(wd, points, num_buckets)
+                         : window_sum_jacobian(wd, points, num_buckets);
   };
 
   // Windows are independent; large inputs share the process-wide pool

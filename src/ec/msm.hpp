@@ -4,13 +4,22 @@
 // against the SRS powers. The production path works on affine bases
 // (precomputed tables: SRS powers, fixed-base generator windows) with
 // signed-digit windows — digits in [-2^(c-1), 2^(c-1)], so negating an
-// affine base (free: (x, -y)) halves the bucket count and memory, and
-// every bucket accumulation is a mixed add (~11 field muls) instead of
-// a full Jacobian add (~16). Buckets are processed per window, with
-// windows distributed over the shared runtime::ThreadPool above a size
-// threshold (each window is independent; only the final Horner-style
-// combine is sequential). Small inputs run serially — task dispatch
-// would dominate.
+// affine base (free: (x, -y)) halves the bucket count and memory.
+// Buckets accumulate in one of two ways, chosen by input size and window
+// position only:
+//   - full-width windows with at least 256 buckets (n >= 2219):
+//     batch-affine buckets. Up to 256 pending bucket adds share one
+//     batch inversion, ~6 field muls per add plus its share of the
+//     inversion; a base whose bucket is busy waits one batch, and what
+//     cannot wait (or is a doubling/cancellation) goes to a Jacobian
+//     overflow.
+//   - small inputs (e.g. the verifier's 18-term MSM) and the top window,
+//     whose few live buckets would make most bases wait: Jacobian
+//     buckets, one mixed add (~11 field muls) per base.
+// Windows are distributed over the shared runtime::ThreadPool above a
+// size threshold (each window is independent; only the final
+// Horner-style combine is sequential). Small inputs run serially — task
+// dispatch would dominate.
 #pragma once
 
 #include <span>

@@ -9,8 +9,9 @@
 //   };
 //
 // R = 2^256 mod p, R^2 mod p and -p^-1 mod 2^64 are derived constexpr.
-// Elements are kept in Montgomery form; CIOS multiplication uses
-// unsigned __int128 limb products.
+// Elements are kept in Montgomery form; multiplication is an unrolled
+// no-carry CIOS over unsigned __int128 limb products, which needs a spare
+// top bit in the modulus (both BN-254 moduli have it).
 #pragma once
 
 #include <cstdint>
@@ -143,41 +144,62 @@ class Fp_ {
   static constexpr U256 r() { return u256_pow2k_mod(256, Params::MODULUS); }
   static constexpr U256 r2() { return u256_pow2k_mod(512, Params::MODULUS); }
 
-  // CIOS Montgomery multiplication: returns a*b*R^-1 mod p.
+  // (hi, lo) = a * b + c + d; never overflows 128 bits.
+  static std::uint64_t mac(std::uint64_t a, std::uint64_t b, std::uint64_t c,
+                           std::uint64_t d, std::uint64_t& hi) {
+    const unsigned __int128 t = static_cast<unsigned __int128>(a) * b + c + d;
+    hi = static_cast<std::uint64_t>(t >> 64);
+    return static_cast<std::uint64_t>(t);
+  }
+
+  // a - b - borrow; borrow becomes 1 when it wraps.
+  static std::uint64_t sbb(std::uint64_t a, std::uint64_t b,
+                           std::uint64_t& borrow) {
+    const unsigned __int128 d = static_cast<unsigned __int128>(a) - b - borrow;
+    borrow = static_cast<std::uint64_t>(d >> 64) & 1;
+    return static_cast<std::uint64_t>(d);
+  }
+
+  // One CIOS round: t = (t + a * bi + m * p) / 2^64, with m chosen so the
+  // low word cancels. A carries a * bi, C carries m * p.
+  static void mont_round(std::uint64_t (&t)[4], const U256& a,
+                         std::uint64_t bi) {
+    std::uint64_t A = 0;
+    std::uint64_t C = 0;
+    const std::uint64_t t0 = mac(a.limb[0], bi, t[0], 0, A);
+    const std::uint64_t m = t0 * INV;
+    mac(m, MOD.limb[0], t0, 0, C);
+    std::uint64_t tj = mac(a.limb[1], bi, t[1], A, A);
+    t[0] = mac(m, MOD.limb[1], tj, C, C);
+    tj = mac(a.limb[2], bi, t[2], A, A);
+    t[1] = mac(m, MOD.limb[2], tj, C, C);
+    tj = mac(a.limb[3], bi, t[3], A, A);
+    t[2] = mac(m, MOD.limb[3], tj, C, C);
+    t[3] = C + A;
+  }
+
+  // No-carry CIOS Montgomery multiplication (Botrel and El Housni, ePrint
+  // 2022/1400): returns a*b*R^-1 mod p. While p's top limb leaves a spare
+  // bit, every round's t stays below 2p < 2^256, so four running words
+  // hold it with no carry word, and one borrow-selected subtraction of p
+  // reduces the result.
+  static_assert(MOD.limb[3] < (~std::uint64_t{0} >> 1) - 1,
+                "no-carry CIOS needs a spare top bit in the modulus");
   static U256 mont_mul(const U256& a, const U256& b) {
-    std::uint64_t t[6] = {0, 0, 0, 0, 0, 0};
-    for (std::size_t i = 0; i < 4; ++i) {
-      // t += a[i] * b
-      std::uint64_t carry = 0;
-      for (std::size_t j = 0; j < 4; ++j) {
-        const unsigned __int128 cur =
-            static_cast<unsigned __int128>(a.limb[i]) * b.limb[j] + t[j] + carry;
-        t[j] = static_cast<std::uint64_t>(cur);
-        carry = static_cast<std::uint64_t>(cur >> 64);
-      }
-      {
-        const unsigned __int128 cur = static_cast<unsigned __int128>(t[4]) + carry;
-        t[4] = static_cast<std::uint64_t>(cur);
-        t[5] = static_cast<std::uint64_t>(cur >> 64);
-      }
-      // m = t[0] * INV mod 2^64; t += m * p; t >>= 64
-      const std::uint64_t m = t[0] * INV;
-      unsigned __int128 cur =
-          static_cast<unsigned __int128>(m) * MOD.limb[0] + t[0];
-      carry = static_cast<std::uint64_t>(cur >> 64);
-      for (std::size_t j = 1; j < 4; ++j) {
-        cur = static_cast<unsigned __int128>(m) * MOD.limb[j] + t[j] + carry;
-        t[j - 1] = static_cast<std::uint64_t>(cur);
-        carry = static_cast<std::uint64_t>(cur >> 64);
-      }
-      cur = static_cast<unsigned __int128>(t[4]) + carry;
-      t[3] = static_cast<std::uint64_t>(cur);
-      t[4] = t[5] + static_cast<std::uint64_t>(cur >> 64);
-      t[5] = 0;
-    }
-    U256 out{t[0], t[1], t[2], t[3]};
-    if (t[4] != 0 || u256_geq(out, MOD)) u256_sub(out, out, MOD);
-    return out;
+    std::uint64_t t[4] = {0, 0, 0, 0};
+    mont_round(t, a, b.limb[0]);
+    mont_round(t, a, b.limb[1]);
+    mont_round(t, a, b.limb[2]);
+    mont_round(t, a, b.limb[3]);
+    // t - p, keeping t where the subtraction borrows.
+    std::uint64_t borrow = 0;
+    const std::uint64_t s0 = sbb(t[0], MOD.limb[0], borrow);
+    const std::uint64_t s1 = sbb(t[1], MOD.limb[1], borrow);
+    const std::uint64_t s2 = sbb(t[2], MOD.limb[2], borrow);
+    const std::uint64_t s3 = sbb(t[3], MOD.limb[3], borrow);
+    const std::uint64_t keep = 0 - borrow;
+    return U256{(t[0] & keep) | (s0 & ~keep), (t[1] & keep) | (s1 & ~keep),
+                (t[2] & keep) | (s2 & ~keep), (t[3] & keep) | (s3 & ~keep)};
   }
 
   U256 v_{};  // Montgomery form

@@ -7,12 +7,14 @@
 #include "ff/batch_inverse.hpp"
 #include "ff/fp2.hpp"
 #include "oracles/bigint.hpp"
+#include "oracles/montgomery.hpp"
 
 namespace zkdet::ff {
 namespace {
 
 using oracle::BigUInt;
 using oracle::bigint_div_u256;
+using oracle::mont_mul_cios;
 
 TEST(Field, Identities) {
   EXPECT_TRUE(Fr::zero().is_zero());
@@ -201,6 +203,99 @@ TEST(BigUInt, SubU64) {
   n.sub_u64(1);
   EXPECT_EQ(n.limbs[0], ~0ull);
   EXPECT_EQ(n.limbs[1], 0u);
+}
+
+// --- Montgomery multiply against the looped CIOS and BigUInt ---------
+
+// Uniform raw Montgomery words below F::MOD, drawn without the field
+// multiply under test (random_field would go through from_canonical).
+template <typename F>
+U256 random_raw(std::mt19937_64& rng) {
+  for (int attempt = 0; attempt < 1000; ++attempt) {
+    U256 v{rng(), rng(), rng(), rng() >> 2};
+    if (u256_less(v, F::MOD)) return v;
+  }
+  ADD_FAILURE() << "random_raw: rejection sampling did not terminate";
+  return U256{};
+}
+
+// out == a * b * 2^-256 mod p, decided with BigUInt alone: out < p and p
+// divides a * b + (p - out) * 2^256.
+template <typename F>
+bool biguint_agrees(const U256& a, const U256& b, const U256& out) {
+  if (!u256_less(out, F::MOD)) return false;
+  BigUInt n = BigUInt::from_u256(a);
+  n.mul_u256(b);
+  n.limbs.resize(9, 0);
+  U256 neg{};
+  u256_sub(neg, F::MOD, out);
+  std::uint64_t carry = 0;
+  for (std::size_t i = 0; i < 4; ++i) {
+    const unsigned __int128 s =
+        static_cast<unsigned __int128>(n.limbs[4 + i]) + neg.limb[i] + carry;
+    n.limbs[4 + i] = static_cast<std::uint64_t>(s);
+    carry = static_cast<std::uint64_t>(s >> 64);
+  }
+  n.limbs[8] += carry;
+  U256 rem{};
+  bigint_div_u256(n, F::MOD, &rem);
+  return rem.is_zero();
+}
+
+// operator* on raw words a, b must equal the looped CIOS oracle and, when
+// asked, the BigUInt definition.
+template <typename F>
+void expect_mul_matches(const U256& a, const U256& b, bool with_biguint) {
+  const U256 got = (F::from_raw(a) * F::from_raw(b)).raw();
+  const U256 want = mont_mul_cios(a, b, F::MOD, F::INV);
+  ASSERT_EQ(got, want) << "a=" << u256_to_hex(a) << " b=" << u256_to_hex(b);
+  if (with_biguint) {
+    ASSERT_TRUE(biguint_agrees<F>(a, b, got))
+        << "a=" << u256_to_hex(a) << " b=" << u256_to_hex(b);
+  }
+}
+
+template <typename F>
+void mont_mul_differential(std::uint64_t seed) {
+  // Edge operands: 0, 1, R mod p (the raw word of one), p - 1, p - 2 and
+  // words of all-ones limbs below p.
+  U256 p_minus_1{};
+  U256 p_minus_2{};
+  u256_sub(p_minus_1, F::MOD, U256{1});
+  u256_sub(p_minus_2, F::MOD, U256{2});
+  const std::uint64_t ones = ~std::uint64_t{0};
+  const U256 edges[] = {
+      U256{0},
+      U256{1},
+      F::one().raw(),
+      p_minus_1,
+      p_minus_2,
+      U256{ones},
+      U256{ones, ones, 0, 0},
+      U256{ones, ones, ones, 0},
+      U256{ones, ones, ones, F::MOD.limb[3] - 1},
+      U256{0, 0, 0, F::MOD.limb[3] - 1},
+  };
+  for (const U256& a : edges) {
+    ASSERT_TRUE(u256_less(a, F::MOD));
+    for (const U256& b : edges) expect_mul_matches<F>(a, b, true);
+  }
+  // The BigUInt check divides bit by bit (~500 steps), so it samples
+  // every 64th random pair; the oracle CIOS sees all of them.
+  constexpr std::size_t kPairs = 1'000'000;
+  constexpr std::size_t kBigUIntEvery = 64;
+  std::mt19937_64 rng(seed);
+  for (std::size_t i = 0; i < kPairs; ++i) {
+    const U256 a = random_raw<F>(rng);
+    const U256 b = random_raw<F>(rng);
+    expect_mul_matches<F>(a, b, i % kBigUIntEvery == 0);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST(Field, MontMulMatchesOracle) {
+  mont_mul_differential<Fp>(1801);
+  mont_mul_differential<Fr>(1802);
 }
 
 class FieldSeedSweep : public ::testing::TestWithParam<std::uint64_t> {};

@@ -3,11 +3,13 @@
 // double-and-add reference must agree bit-for-bit on every input class
 // that has historically broken bucket MSMs (zero scalars, identity
 // bases, duplicate bases, scalars at the group order boundary, sizes
-// straddling the naive/parallel dispatch thresholds). Also covers
+// straddling the naive/parallel and Jacobian/batch-affine bucket
+// thresholds, doublings and cancellations inside a batch). Also covers
 // batch normalization with identities, mixed (Jacobian + affine)
 // addition, the constant-time ladder, and the bucket-memory window cap.
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <random>
 #include <vector>
 
@@ -67,11 +69,17 @@ void check_all_paths(const std::vector<Fr>& scalars,
 }
 
 template <typename Api>
-void run_edge_suite(std::uint64_t seed) {
+void run_edge_suite(std::uint64_t seed,
+                    std::initializer_list<std::size_t> large_sizes) {
   std::mt19937_64 rng(seed);
-  // Sizes straddle both dispatch thresholds: n < 8 runs naive, n >= 256
-  // distributes windows over the thread pool.
-  for (const std::size_t n : {1u, 7u, 8u, 9u, 255u, 256u, 257u}) {
+  // Sizes straddle the dispatch thresholds: n < 8 runs naive, n >= 256
+  // distributes windows over the thread pool, and the large sizes
+  // straddle n = 2219, where the window grows to 256 buckets and
+  // full-width windows switch to batch-affine buckets (half-full batches
+  // of 128 at 2219, batches of 256 at 4096).
+  std::vector<std::size_t> sizes = {1, 7, 8, 9, 255, 256, 257};
+  sizes.insert(sizes.end(), large_sizes);
+  for (const std::size_t n : sizes) {
     std::vector<Fr> scalars(n);
     std::vector<typename Api::Jac> points(n);
     for (std::size_t i = 0; i < n; ++i) {
@@ -91,8 +99,69 @@ void run_edge_suite(std::uint64_t seed) {
   }
 }
 
-TEST(MsmDifferential, G1EdgeInputs) { run_edge_suite<G1Api>(101); }
-TEST(MsmDifferential, G2EdgeInputs) { run_edge_suite<G2Api>(202); }
+TEST(MsmDifferential, G1EdgeInputs) {
+  // 2218 and 2219 must sit on either side of 256 buckets per window.
+  EXPECT_LT(std::size_t{1} << (msm_window_size(2218, sizeof(G1)) - 1), 256u);
+  EXPECT_GE(std::size_t{1} << (msm_window_size(2219, sizeof(G1)) - 1), 256u);
+  run_edge_suite<G1Api>(101, {2047, 2048, 2218, 2219, 4096});
+}
+TEST(MsmDifferential, G2EdgeInputs) {
+  run_edge_suite<G2Api>(202, {2048, 2219});
+}
+
+// Batch-affine buckets meet a base with the bucket's own x: with every
+// base and scalar equal, each window sends all bases to one bucket, so
+// every add after the first is a doubling.
+TEST(MsmDifferential, G1BatchAffineDoubling) {
+  constexpr std::size_t n = 4096;
+  std::mt19937_64 rng(41);
+  const G1 p = g1_mul_generator(random_field<Fr>(rng));
+  const Fr k = random_field<Fr>(rng);
+  const std::vector<Fr> scalars(n, k);
+  const std::vector<G1> points(n, p);
+  const G1 expected = p.mul(k * Fr::from_u64(n));
+  EXPECT_EQ(msm(scalars, points), expected);
+  const auto affine = batch_normalize(std::span<const G1>(points));
+  EXPECT_EQ(msm(scalars, affine), expected);
+}
+
+// ... and the cancellation: bases alternate P, -P, and each pair shares a
+// scalar, so every pair lands in the same buckets and the sum is zero.
+TEST(MsmDifferential, G1BatchAffineCancellation) {
+  constexpr std::size_t n = 4096;
+  std::mt19937_64 rng(42);
+  const G1 p = g1_mul_generator(random_field<Fr>(rng));
+  std::vector<Fr> scalars(n);
+  std::vector<G1> points(n);
+  for (std::size_t i = 0; i < n; i += 2) {
+    scalars[i] = scalars[i + 1] = random_field<Fr>(rng);
+    points[i] = p;
+    points[i + 1] = -p;
+  }
+  EXPECT_EQ(msm(scalars, points), G1::identity());
+  const auto affine = batch_normalize(std::span<const G1>(points));
+  EXPECT_EQ(msm(scalars, affine), G1::identity());
+}
+
+// Small scalars crowd window 0 into three buckets, so most bases find
+// their bucket with an add pending: they wait, retry, or overflow into
+// the Jacobian side. Bases are x_i * G, so the sum is (sum k_i x_i) * G.
+TEST(MsmDifferential, G1BatchAffineCrowdedBuckets) {
+  constexpr std::size_t n = 4096;
+  std::mt19937_64 rng(43);
+  const Fr choices[] = {Fr::one(), Fr::from_u64(2), Fr::from_u64(3),
+                        r_minus_one()};
+  std::vector<Fr> scalars(n);
+  std::vector<G1> points(n);
+  Fr exponent = Fr::zero();
+  for (std::size_t i = 0; i < n; ++i) {
+    scalars[i] = choices[rng() % 4];
+    const Fr x = random_field<Fr>(rng);
+    points[i] = g1_mul_generator(x);
+    exponent += scalars[i] * x;
+  }
+  EXPECT_EQ(msm(scalars, points), g1_mul_generator(exponent));
+}
 
 TEST(MsmDifferential, G1AllZeroScalars) {
   std::mt19937_64 rng(7);
