@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <fstream>
 #include <future>
+#include <string>
 #include <thread>
 
 #include "bench_util.hpp"
@@ -32,22 +33,23 @@ using ff::Fr;
 
 namespace {
 
-struct Timing {
-  double prove = 0;
-  std::size_t gates = 0;
-};
-
-Timing time_circuit(const gadgets::CircuitBuilder& bld, const plonk::Srs& srs,
-                    crypto::Drbg& rng) {
-  const auto keys = plonk::preprocess(bld.cs(), srs);
-  if (!keys) return {};
-  Stopwatch sw;
-  const auto proof = plonk::prove(keys->pk, bld.cs(), srs, bld.witness(), rng);
-  Timing t;
-  t.prove = sw.seconds();
-  t.gates = bld.cs().num_rows();
-  if (!proof) t.prove = -1;
-  return t;
+// Proves `bld` and prints one row: its rows, the padded domain n, the
+// padding ratio rows/n (the prover's work scales with n) and the time.
+void time_circuit(const char* entries, const char* circuit,
+                  const gadgets::CircuitBuilder& bld, const plonk::Srs& srs,
+                  crypto::Drbg& rng) {
+  const std::size_t rows = bld.cs().num_rows();
+  const std::size_t n = bld.cs().domain_size();
+  double prove = -1;
+  if (const auto keys = plonk::preprocess(bld.cs(), srs)) {
+    Stopwatch sw;
+    const auto proof =
+        plonk::prove(keys->pk, bld.cs(), srs, bld.witness(), rng);
+    if (proof) prove = sw.seconds();
+  }
+  std::printf("%-8s %-14s %-8zu %-7zu %-7.2f %-10s\n", entries, circuit, rows,
+              n, static_cast<double>(rows) / static_cast<double>(n),
+              fmt_seconds(prove).c_str());
 }
 
 std::vector<Fr> make_data(std::size_t n, crypto::Drbg& rng) {
@@ -68,46 +70,41 @@ int main() {
   crypto::Drbg rng(1);
   const plonk::Srs srs = plonk::Srs::setup((1 << 16) + 16, rng);
 
-  std::printf("%-10s %-12s %-14s %-12s %-14s %-14s\n", "entries", "pi_e gates",
-              "pi_e prove", "pi_t dup", "pi_t agg(2)", "pi_t part(2)");
+  std::printf("%-8s %-14s %-8s %-7s %-7s %-10s\n", "entries", "circuit",
+              "rows", "n", "rows/n", "prove");
   for (const std::size_t n : {2u, 4u, 8u, 16u, 32u}) {
     const std::vector<Fr> data = make_data(n, rng);
     const Fr key = rng.random_fr(), nonce = rng.random_fr();
     const Fr o1 = rng.random_fr(), o2 = rng.random_fr();
+    const std::string e = std::to_string(n);
 
-    const Timing enc = time_circuit(
-        core::build_encryption_circuit(data, key, nonce, o1), srs, rng);
-
-    const Timing dup = time_circuit(
-        core::build_duplication_circuit(data, o1, o2), srs, rng);
+    time_circuit(e.c_str(), "pi_e",
+                 core::build_encryption_circuit(data, key, nonce, o1), srs,
+                 rng);
+    time_circuit(e.c_str(), "pi_t dup",
+                 core::build_duplication_circuit(data, o1, o2), srs, rng);
 
     const std::vector<std::vector<Fr>> halves{
         std::vector<Fr>(data.begin(), data.begin() + static_cast<long>(n / 2)),
         std::vector<Fr>(data.begin() + static_cast<long>(n / 2), data.end())};
-    const Timing agg = time_circuit(
+    time_circuit(
+        e.c_str(), "pi_t agg(2)",
         core::build_aggregation_circuit(halves, {o1, o2}, rng.random_fr()),
         srs, rng);
-
-    const Timing part = time_circuit(
-        core::build_partition_circuit(data, {n / 2, n - n / 2}, o1,
-                                      {rng.random_fr(), rng.random_fr()}),
-        srs, rng);
-
-    std::printf("%-10zu %-12zu %-14s %-12s %-14s %-14s\n", n, enc.gates,
-                fmt_seconds(enc.prove).c_str(), fmt_seconds(dup.prove).c_str(),
-                fmt_seconds(agg.prove).c_str(),
-                fmt_seconds(part.prove).c_str());
+    time_circuit(e.c_str(), "pi_t part(2)",
+                 core::build_partition_circuit(
+                     data, {n / 2, n - n / 2}, o1,
+                     {rng.random_fr(), rng.random_fr()}),
+                 srs, rng);
   }
 
   // pi_k: size-independent (measure thrice to show flatness)
   std::printf("\npi_k (key proof, independent of data size):\n");
   for (int i = 0; i < 3; ++i) {
-    const Timing k = time_circuit(
-        core::build_key_circuit(rng.random_fr(), rng.random_fr(),
-                                rng.random_fr()),
-        srs, rng);
-    std::printf("  run %d: %s  (%zu gates)\n", i + 1,
-                fmt_seconds(k.prove).c_str(), k.gates);
+    time_circuit("-", "pi_k",
+                 core::build_key_circuit(rng.random_fr(), rng.random_fr(),
+                                         rng.random_fr()),
+                 srs, rng);
   }
   // --- runtime sweep: concurrent proof jobs vs worker count ---
   // Throughput comes from two levels: whole jobs run concurrently on the

@@ -45,10 +45,7 @@ Wire CircuitBuilder::sub(Wire a, Wire b) {
 }
 
 Wire CircuitBuilder::mul(Wire a, Wire b) {
-  const Wire out = new_wire(value(a) * value(b));
-  raw_gate(Fr::one(), Fr::zero(), Fr::zero(), -Fr::one(), Fr::zero(), a, b,
-           out);
-  return out;
+  return arith(a, b, Fr::one(), Fr::zero(), Fr::zero(), Fr::zero());
 }
 
 Wire CircuitBuilder::scale(Wire a, const Fr& s) {
@@ -59,11 +56,12 @@ Wire CircuitBuilder::add_constant(Wire a, const Fr& k) {
   return linear(Fr::one(), a, Fr::zero(), zero(), k);
 }
 
-Wire CircuitBuilder::linear(const Fr& ca, Wire a, const Fr& cb, Wire b,
-                            const Fr& k) {
-  const Wire out = new_wire(ca * value(a) + cb * value(b) + k);
-  // ca*a + cb*b - out + k == 0
-  raw_gate(Fr::zero(), ca, cb, -Fr::one(), k, a, b, out);
+Wire CircuitBuilder::arith(Wire a, Wire b, const Fr& qm, const Fr& ql,
+                           const Fr& qr, const Fr& qc) {
+  const Wire out =
+      new_wire(qm * value(a) * value(b) + ql * value(a) + qr * value(b) + qc);
+  // qm*a*b + ql*a + qr*b - out + qc == 0
+  raw_gate(qm, ql, qr, -Fr::one(), qc, a, b, out);
   return out;
 }
 
@@ -121,18 +119,12 @@ Wire CircuitBuilder::logic_and(Wire a, Wire b) { return mul(a, b); }
 
 Wire CircuitBuilder::logic_or(Wire a, Wire b) {
   // a + b - a*b
-  const Wire out = new_wire(value(a) + value(b) - value(a) * value(b));
-  raw_gate(-Fr::one(), Fr::one(), Fr::one(), -Fr::one(), Fr::zero(), a, b, out);
-  return out;
+  return arith(a, b, -Fr::one(), Fr::one(), Fr::one(), Fr::zero());
 }
 
 Wire CircuitBuilder::logic_xor(Wire a, Wire b) {
   // a + b - 2ab
-  const Fr two = Fr::from_u64(2);
-  const Wire out =
-      new_wire(value(a) + value(b) - two * value(a) * value(b));
-  raw_gate(-two, Fr::one(), Fr::one(), -Fr::one(), Fr::zero(), a, b, out);
-  return out;
+  return arith(a, b, -Fr::from_u64(2), Fr::one(), Fr::one(), Fr::zero());
 }
 
 Wire CircuitBuilder::logic_not(Wire a) {

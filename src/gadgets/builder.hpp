@@ -50,8 +50,13 @@ class CircuitBuilder {
   Wire neg(Wire a) { return scale(a, -Fr::one()); }
   Wire scale(Wire a, const Fr& s);
   Wire add_constant(Wire a, const Fr& k);
+  // qm*a*b + ql*a + qr*b + qc: the general gate, one row.
+  Wire arith(Wire a, Wire b, const Fr& qm, const Fr& ql, const Fr& qr,
+             const Fr& qc);
   // ca*a + cb*b + k
-  Wire linear(const Fr& ca, Wire a, const Fr& cb, Wire b, const Fr& k);
+  Wire linear(const Fr& ca, Wire a, const Fr& cb, Wire b, const Fr& k) {
+    return arith(a, b, Fr::zero(), ca, cb, k);
+  }
   // a*b + c (one gate)
   Wire mul_add(Wire a, Wire b, Wire c);
   // Sum of many terms (chained gates).

@@ -21,10 +21,8 @@ std::vector<Wire> mimc_ctr_encrypt_gadget(CircuitBuilder& bld, Wire key,
                                           Wire nonce,
                                           std::span<const Wire> plain);
 
-// Poseidon permutation over t wires (t = state.size()).
-void poseidon_permute_gadget(CircuitBuilder& bld, std::vector<Wire>& state);
-
 // Sponge hash matching crypto::poseidon_hash(input, domain_tag, t=3).
+// One permutation costs at most 542 rows (DESIGN.md "Poseidon gadget").
 Wire poseidon_hash_gadget(CircuitBuilder& bld, std::span<const Wire> input,
                           std::uint64_t domain_tag);
 

@@ -237,6 +237,20 @@ TEST_F(CircuitFixture, CircuitShapeIsValueIndependent) {
   const auto shape = [](const CircuitBuilder& bld) {
     return std::make_pair(bld.cs().num_rows(), bld.cs().num_variables());
   };
+  const auto same_gates = [](const CircuitBuilder& x, const CircuitBuilder& y) {
+    const auto& gx = x.cs().gates();
+    const auto& gy = y.cs().gates();
+    if (gx.size() != gy.size()) return false;
+    for (std::size_t i = 0; i < gx.size(); ++i) {
+      const plonk::Gate& a = gx[i];
+      const plonk::Gate& b = gy[i];
+      if (a.qm != b.qm || a.ql != b.ql || a.qr != b.qr || a.qo != b.qo ||
+          a.qc != b.qc || a.a != b.a || a.b != b.b || a.c != b.c) {
+        return false;
+      }
+    }
+    return x.cs().public_vars() == y.cs().public_vars();
+  };
   CircuitBuilder a =
       build_key_circuit(rng.random_fr(), rng.random_fr(), rng.random_fr());
   CircuitBuilder b = build_key_circuit(Fr::one(), Fr::one(), Fr::one());
@@ -250,6 +264,56 @@ TEST_F(CircuitFixture, CircuitShapeIsValueIndependent) {
   CircuitBuilder e2 =
       build_encryption_circuit(d2, Fr::one(), Fr::one(), Fr::one());
   EXPECT_EQ(shape(e1), shape(e2));
+  EXPECT_TRUE(same_gates(a, b));
+  EXPECT_TRUE(same_gates(e1, e2));
+
+  CircuitBuilder t1 =
+      build_duplication_circuit(d1, rng.random_fr(), rng.random_fr());
+  CircuitBuilder t2 = build_duplication_circuit(d2, Fr::one(), Fr::zero());
+  EXPECT_TRUE(same_gates(t1, t2));
+
+  CircuitBuilder g1 = build_aggregation_circuit(
+      {make_data(2), make_data(3)}, {rng.random_fr(), rng.random_fr()},
+      rng.random_fr());
+  CircuitBuilder g2 = build_aggregation_circuit(
+      {{Fr::zero(), Fr::zero()}, {Fr::one(), Fr::one(), Fr::one()}},
+      {Fr::one(), Fr::one()}, Fr::zero());
+  EXPECT_TRUE(same_gates(g1, g2));
+
+  const std::vector<std::size_t> sizes{1, 3};
+  CircuitBuilder p1 = build_partition_circuit(
+      d1, sizes, rng.random_fr(), {rng.random_fr(), rng.random_fr()});
+  CircuitBuilder p2 =
+      build_partition_circuit(d2, sizes, Fr::zero(), {Fr::one(), Fr::one()});
+  EXPECT_TRUE(same_gates(p1, p2));
+}
+
+// Row budget of the proofs in one exchange (publish pi_e, offer pi_p,
+// settle pi_k) and of pi_t: each must stay in the power-of-two domain
+// the Poseidon gadget's row count gives it.
+TEST_F(CircuitFixture, ExchangeProofsStayInTheirDomains) {
+  const auto pi_e = [&](std::size_t entries) {
+    return build_encryption_circuit(make_data(entries), rng.random_fr(),
+                                    rng.random_fr(), rng.random_fr());
+  };
+  const auto pi_p = [&](std::size_t entries) {
+    return build_exchange_data_circuit(make_data(entries), rng.random_fr(),
+                                       rng.random_fr(), rng.random_fr(),
+                                       nullptr);
+  };
+  const auto n = [](const CircuitBuilder& bld) {
+    return bld.cs().domain_size();
+  };
+  EXPECT_EQ(n(pi_e(2)), 2048u);
+  EXPECT_EQ(n(pi_p(2)), 2048u);
+  EXPECT_EQ(n(pi_e(8)), 8192u);
+  EXPECT_EQ(n(pi_p(8)), 8192u);
+  EXPECT_EQ(n(build_duplication_circuit(make_data(8), rng.random_fr(),
+                                        rng.random_fr())),
+            8192u);
+  EXPECT_EQ(n(build_key_circuit(rng.random_fr(), rng.random_fr(),
+                                rng.random_fr())),
+            2048u);
 }
 
 TEST_F(CircuitFixture, KeysCanBeReusedAcrossInstances) {

@@ -23,6 +23,10 @@ TEST(Builder, ArithmeticTracksValues) {
   EXPECT_EQ(bld.value(bld.add_constant(a, Fr::from_u64(100))),
             Fr::from_u64(107));
   EXPECT_EQ(bld.value(bld.mul_add(a, b, a)), Fr::from_u64(42));
+  // 2*7*5 + 3*7 + 4*5 + 6
+  EXPECT_EQ(bld.value(bld.arith(a, b, Fr::from_u64(2), Fr::from_u64(3),
+                                Fr::from_u64(4), Fr::from_u64(6))),
+            Fr::from_u64(117));
   EXPECT_TRUE(bld.witness_consistent());
 }
 
@@ -210,34 +214,101 @@ TEST_P(HashGadgetSweep, MimcCtrMatchesNative) {
   EXPECT_TRUE(bld.witness_consistent());
 }
 
+std::vector<Wire> witnesses(CircuitBuilder& bld, const std::vector<Fr>& xs) {
+  std::vector<Wire> out;
+  for (const Fr& x : xs) out.push_back(bld.add_witness(x));
+  return out;
+}
+
+std::vector<Fr> random_frs(crypto::Drbg& rng, std::size_t n) {
+  std::vector<Fr> out;
+  for (std::size_t i = 0; i < n; ++i) out.push_back(rng.random_fr());
+  return out;
+}
+
+// Lengths 0-17 cover no input, one and two inputs in the first
+// permutation, and up to nine permutations.
 TEST_P(HashGadgetSweep, PoseidonMatchesNative) {
   crypto::Drbg rng(GetParam() + 200);
-  for (const std::size_t len : {1u, 2u, 3u, 5u}) {
-    std::vector<Fr> input;
-    for (std::size_t i = 0; i < len; ++i) input.push_back(rng.random_fr());
-    CircuitBuilder bld;
-    std::vector<Wire> iw;
-    for (const Fr& x : input) iw.push_back(bld.add_witness(x));
-    const Wire out = poseidon_hash_gadget(bld, iw, /*domain_tag=*/9);
-    EXPECT_EQ(bld.value(out), crypto::poseidon_hash(input, 9));
-    EXPECT_TRUE(bld.witness_consistent());
+  for (const std::uint64_t tag : {9ull, 2ull}) {
+    for (std::size_t len = 0; len <= 17; ++len) {
+      const std::vector<Fr> input = random_frs(rng, len);
+      CircuitBuilder bld;
+      const Wire out = poseidon_hash_gadget(bld, witnesses(bld, input), tag);
+      EXPECT_EQ(bld.value(out), crypto::poseidon_hash(input, tag))
+          << "len=" << len << " tag=" << tag;
+      EXPECT_TRUE(bld.witness_consistent()) << "len=" << len;
+    }
   }
 }
 
 TEST_P(HashGadgetSweep, PoseidonCommitMatchesNative) {
   crypto::Drbg rng(GetParam() + 300);
-  std::vector<Fr> msg{rng.random_fr(), rng.random_fr(), rng.random_fr()};
-  const Fr blinder = rng.random_fr();
-  CircuitBuilder bld;
-  std::vector<Wire> mw;
-  for (const Fr& m : msg) mw.push_back(bld.add_witness(m));
-  const Wire bw = bld.add_witness(blinder);
-  const Wire c = poseidon_commit_gadget(bld, mw, bw);
-  EXPECT_EQ(bld.value(c), crypto::PoseidonCommitment::commit_with(msg, blinder));
-  EXPECT_TRUE(bld.witness_consistent());
+  for (const std::size_t entries : {2u, 3u, 4u, 8u, 16u}) {
+    const std::vector<Fr> msg = random_frs(rng, entries);
+    const Fr blinder = rng.random_fr();
+    CircuitBuilder bld;
+    const std::vector<Wire> mw = witnesses(bld, msg);
+    const Wire c = poseidon_commit_gadget(bld, mw, bld.add_witness(blinder));
+    EXPECT_EQ(bld.value(c),
+              crypto::PoseidonCommitment::commit_with(msg, blinder))
+        << "entries=" << entries;
+    EXPECT_TRUE(bld.witness_consistent());
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, HashGadgetSweep, ::testing::Values(1, 2, 3));
+
+// The gadget's gates form a straight-line program: each creates one
+// wire as its output (qo != 0) from wires created before it, so the
+// inputs determine every wire and the hash. A wire taken from the
+// witness without a defining gate would fail this even when it still
+// feeds a gate. Also, changing any single created wire fails the
+// circuit. Three inputs cover an absorb into the lazy state between two
+// permutations.
+TEST(PoseidonGadget, EveryCreatedWireIsDeterminedByTheInputs) {
+  crypto::Drbg rng(402);
+  CircuitBuilder bld;
+  const std::vector<Wire> in = witnesses(bld, random_frs(rng, 3));
+  const std::size_t first = bld.cs().num_variables();
+  (void)poseidon_hash_gadget(bld, in, /*domain_tag=*/5);
+  ASSERT_TRUE(bld.witness_consistent());
+
+  std::vector<Fr> w = bld.witness();
+  std::vector<std::size_t> defining(w.size(), 0);
+  for (const plonk::Gate& g : bld.cs().gates()) {
+    ASSERT_GE(g.c, first);
+    ASSERT_FALSE(g.qo.is_zero());
+    ASSERT_LT(g.a, g.c);
+    ASSERT_LT(g.b, g.c);
+    ++defining[g.c];
+  }
+  std::size_t accepted = 0;
+  for (std::size_t v = first; v < w.size(); ++v) {
+    EXPECT_EQ(defining[v], 1u) << "wire " << v;
+    w[v] += Fr::one();
+    if (bld.cs().is_satisfied(w)) ++accepted;
+    w[v] -= Fr::one();
+  }
+  EXPECT_EQ(accepted, 0u) << "of " << w.size() - first << " created wires";
+}
+
+// Row budget: a later gadget edit must not push a proof back over a
+// power of two (tests/test_circuits.cpp pins the domains).
+TEST(PoseidonGadget, RowsPerPermutation) {
+  const auto rows = [](std::size_t len) {
+    CircuitBuilder bld;
+    const std::vector<Wire> in =
+        witnesses(bld, std::vector<Fr>(len, Fr::from_u64(3)));
+    (void)poseidon_hash_gadget(bld, in, /*domain_tag=*/0);
+    return bld.num_gates();
+  };
+  EXPECT_LE(rows(1), 545u);
+  EXPECT_LE(rows(2), 545u);
+  // Each further pair of inputs is one more permutation.
+  EXPECT_LE(rows(4) - rows(2), 545u);
+  EXPECT_LE(rows(16) - rows(14), 545u);
+}
 
 TEST(MerkleGadget, RootMatchesNative) {
   crypto::Drbg rng(9);

@@ -474,18 +474,30 @@ TEST(PlonkGolden, CubicAtSmallestDomain) {
             "257d534010615c06a9fac2f2fa144326e249ba838044b01ad35e87adc3c04e35");
 }
 
-// pi_e over two entries: n = 4096, the parallel NTT threshold.
-TEST(PlonkGolden, EncryptionProofTwoEntries) {
+// pi_e over `entries` entries, proved at domain n.
+std::string encryption_proof_digest(std::size_t entries, std::size_t n) {
   Drbg rng("golden-pi-e", 2);
-  const std::vector<Fr> plain = {rng.random_fr(), rng.random_fr()};
+  std::vector<Fr> plain;
+  for (std::size_t i = 0; i < entries; ++i) plain.push_back(rng.random_fr());
   const Fr key = rng.random_fr();
   const Fr nonce = rng.random_fr();
   const Fr blinder = rng.random_fr();
   const gadgets::CircuitBuilder bld =
       core::build_encryption_circuit(plain, key, nonce, blinder);
-  ASSERT_EQ(bld.cs().domain_size(), 4096u);
-  EXPECT_EQ(proof_digest(bld.cs(), bld.witness(), 4096 + 8, 3),
-            "8a9e077ae8c5aaa633f20e3eed92990db1842d214c19ee365420dd6dd5e960a9");
+  EXPECT_EQ(bld.cs().domain_size(), n);
+  return proof_digest(bld.cs(), bld.witness(), n + 8, 3);
+}
+
+// pi_e over two entries: n = 2048, below the parallel NTT threshold.
+TEST(PlonkGolden, EncryptionProofTwoEntries) {
+  EXPECT_EQ(encryption_proof_digest(2, 2048),
+            "25645c10c9da468d3a6b8b77ff1c923347b8b6ddb27de28c5affe1d92b67d742");
+}
+
+// pi_e over four entries: n = 4096, the parallel NTT threshold.
+TEST(PlonkGolden, EncryptionProofFourEntries) {
+  EXPECT_EQ(encryption_proof_digest(4, 4096),
+            "aae563ae90e83b24586f7028cbc1c04292f8b29ede28057c804f56ea570669a9");
 }
 
 TEST(ConstraintSystem, DomainSizePadding) {
