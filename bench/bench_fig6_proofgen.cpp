@@ -134,7 +134,10 @@ int main() {
     std::vector<Row> rows;
     double serial_pps = 0;
     for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
-      runtime::ThreadPool::instance().configure(workers);
+      // configure(N) starts N - 1 workers and counts its caller as the
+      // N-th, but this caller only waits on the futures: N + 1 makes
+      // `workers` pool threads prove.
+      runtime::ThreadPool::instance().configure(workers + 1);
       runtime::ProverService svc(srs);
       svc.keys_for("pi_e/sweep", *scs);  // preprocessing paid once, up front
       Stopwatch sw;

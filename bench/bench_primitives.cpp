@@ -51,6 +51,38 @@ void BM_FrMul(benchmark::State& state) {
 }
 BENCHMARK(BM_FrMul);
 
+// Field add and subtract, Fp (the MSM's coordinate field): a dependent
+// chain, as in the curve formulas.
+void BM_FpAdd(benchmark::State& state) {
+  ff::Fp a = ff::random_field<ff::Fp>(rng());
+  const ff::Fp b = ff::random_field<ff::Fp>(rng());
+  for (auto _ : state) {
+    a += b;
+    benchmark::DoNotOptimize(a);
+  }
+}
+BENCHMARK(BM_FpAdd);
+
+void BM_FpSub(benchmark::State& state) {
+  ff::Fp a = ff::random_field<ff::Fp>(rng());
+  const ff::Fp b = ff::random_field<ff::Fp>(rng());
+  for (auto _ : state) {
+    a -= b;
+    benchmark::DoNotOptimize(a);
+  }
+}
+BENCHMARK(BM_FpSub);
+
+void BM_FpMul(benchmark::State& state) {
+  ff::Fp a = ff::random_field<ff::Fp>(rng());
+  const ff::Fp b = ff::random_field<ff::Fp>(rng());
+  for (auto _ : state) {
+    a *= b;
+    benchmark::DoNotOptimize(a);
+  }
+}
+BENCHMARK(BM_FpMul);
+
 void BM_FrInverse(benchmark::State& state) {
   Fr a = rng().random_fr();
   for (auto _ : state) {
@@ -197,8 +229,17 @@ void BM_Msm(benchmark::State& state) {
   }
   state.SetComplexityN(static_cast<std::int64_t>(n));
 }
-// 16384 is the pi_e/8 commitment size.
-BENCHMARK(BM_Msm)->Arg(256)->Arg(1024)->Arg(4096)->Arg(16384)->Complexity();
+// 2050 and 8195 are commitment sizes of the exchange proofs: pi_e/2,
+// pi_p/2 and pi_k run on n = 2048, pi_e/8 and pi_p/8 on n = 8192, and a
+// blinded polynomial has a few coefficients more than n.
+BENCHMARK(BM_Msm)
+    ->Arg(256)
+    ->Arg(1024)
+    ->Arg(2050)
+    ->Arg(4096)
+    ->Arg(8195)
+    ->Arg(16384)
+    ->Complexity();
 
 void BM_Ntt(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));

@@ -1,5 +1,6 @@
 // Fuzz target: u256 parsing, field arithmetic (the Montgomery multiply
-// against the test oracles' looped CIOS) and the oracles' bigint
+// against the test oracles' looped CIOS, add and subtract against their
+// branchy forms), the G1 GLV scalar split, and the oracles' bigint
 // round-trips.
 //
 // The parsers are the first line of defense for every externally
@@ -13,6 +14,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "ec/glv.hpp"
 #include "ff/bn254.hpp"
 #include "ff/u256.hpp"
 #include "oracles/bigint.hpp"
@@ -21,6 +23,8 @@
 using namespace zkdet::ff;
 using zkdet::oracle::BigUInt;
 using zkdet::oracle::bigint_div_u256;
+using zkdet::oracle::mod_add_branchy;
+using zkdet::oracle::mod_sub_branchy;
 using zkdet::oracle::mont_mul_cios;
 
 namespace {
@@ -31,16 +35,39 @@ U256 u256_from_raw(const std::uint8_t* data) {
   return u256_from_bytes(buf);
 }
 
-// The product of a and b, each reduced below F::MOD and read as a raw
-// Montgomery word, must match the looped CIOS oracle.
+// a and b, each reduced below F::MOD and read as raw Montgomery words:
+// their product must match the looped CIOS oracle, and their sum,
+// difference and negation the branchy oracle.
 template <typename F>
-void check_mul(const U256& a, const U256& b) {
+void check_kernels(const U256& a, const U256& b) {
   U256 ra = a;
   U256 rb = b;
   while (u256_geq(ra, F::MOD)) u256_sub(ra, ra, F::MOD);
   while (u256_geq(rb, F::MOD)) u256_sub(rb, rb, F::MOD);
-  const U256 got = (F::from_raw(ra) * F::from_raw(rb)).raw();
-  if (got != mont_mul_cios(ra, rb, F::MOD, F::INV)) __builtin_trap();
+  const F fa = F::from_raw(ra);
+  const F fb = F::from_raw(rb);
+  if ((fa * fb).raw() != mont_mul_cios(ra, rb, F::MOD, F::INV)) {
+    __builtin_trap();
+  }
+  if ((fa + fb).raw() != mod_add_branchy(ra, rb, F::MOD)) __builtin_trap();
+  if ((fa - fb).raw() != mod_sub_branchy(ra, rb, F::MOD)) __builtin_trap();
+  if ((-fa).raw() != mod_sub_branchy(U256{0}, ra, F::MOD)) __builtin_trap();
+}
+
+// The GLV split of a (reduced below r) recomposes: k1 + lambda k2 == a
+// with both halves below 2^128.
+void check_glv(const U256& a) {
+  const Fr k = Fr::reduce_from(a);
+  const zkdet::ec::GlvSplit s = zkdet::ec::glv_split(k.to_canonical());
+  if (s.k1.bit_length() > zkdet::ec::kGlvScalarBits ||
+      s.k2.bit_length() > zkdet::ec::kGlvScalarBits) {
+    __builtin_trap();
+  }
+  const Fr k1 = Fr::from_canonical(s.k1);
+  const Fr k2 = Fr::from_canonical(s.k2);
+  const Fr back =
+      (s.neg1 ? -k1 : k1) + zkdet::ec::glv_lambda() * (s.neg2 ? -k2 : k2);
+  if (back != k) __builtin_trap();
 }
 
 }  // namespace
@@ -76,7 +103,8 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     }
     case 2: {
       // Field reduction: reduce_from lands in canonical range; add/sub
-      // round-trips; Fp and Fr products match the oracle CIOS.
+      // round-trips; Fp and Fr products, sums, differences and
+      // negations match the oracles; the GLV split recomposes.
       if (size < 64) break;
       const U256 a = u256_from_raw(data);
       const U256 b = u256_from_raw(data + 32);
@@ -85,8 +113,9 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
       if (!u256_less(fa.to_canonical(), Fr::MOD)) __builtin_trap();
       if ((fa + fb - fb) != fa) __builtin_trap();
       if (!fb.is_zero() && (fa * fb * fb.inverse()) != fa) __builtin_trap();
-      check_mul<Fp>(a, b);
-      check_mul<Fr>(a, b);
+      check_kernels<Fp>(a, b);
+      check_kernels<Fr>(a, b);
+      check_glv(a);
       break;
     }
     default: {

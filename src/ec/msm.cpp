@@ -1,8 +1,10 @@
 #include "ec/msm.hpp"
 
 #include <algorithm>
+#include <type_traits>
 
 #include "check/check.hpp"
+#include "ec/glv.hpp"
 #include "ff/batch_inverse.hpp"
 #include "runtime/stats.hpp"
 #include "runtime/thread_pool.hpp"
@@ -10,9 +12,6 @@
 namespace zkdet::ec {
 
 namespace {
-
-// BN-254 scalars are < r < 2^254.
-constexpr std::size_t kScalarBits = 254;
 
 // Below this input size one bucket pass is cheaper than dispatching
 // window tasks to the pool; run the windows serially.
@@ -27,12 +26,20 @@ constexpr std::size_t kMsmNaiveThreshold = 8;
 // their bucket busy.
 constexpr std::size_t kBatchAffineSize = 256;
 
-// Full-width windows with at least this many buckets (c >= 9, which
-// msm_window_size picks from n = 2219 on) use batch-affine buckets. With
-// fewer, a batch holds at most 64 adds, too few to repay its Fermat
-// inversion (~400 muls): it would cost more than mixed adds. Small
-// inputs, like the verifier's 18-term MSM, stay on Jacobian buckets.
+// Full-width windows with at least this many buckets (c >= 9) use
+// batch-affine buckets. With fewer, a batch holds at most 64 adds, too
+// few to repay its Fermat inversion: it would cost more than mixed adds.
+// Small inputs, like the verifier's 18-term MSM, stay on Jacobian
+// buckets.
 constexpr std::size_t kBatchAffineMinBuckets = 256;
+
+// Window cost model, in field multiplications (squares included). A
+// mixed add is ~11, a Jacobian add ~16; a batch-affine bucket add is ~6
+// plus its share of one Fermat inversion (~380) per batch.
+constexpr std::uint64_t kMixedAddMuls = 11;
+constexpr std::uint64_t kJacobianAddMuls = 16;
+constexpr std::uint64_t kAffineAddMuls = 6;
+constexpr std::uint64_t kInverseMuls = 380;
 
 template <typename Point>
 Point msm_naive_impl(std::span<const Fr> scalars, std::span<const Point> points) {
@@ -55,12 +62,14 @@ std::uint64_t window_bits(const U256& k, std::size_t off, std::size_t c) {
 }
 
 // Signed-digit decomposition: k = sum_w out[w] * 2^(c*w) with digits in
-// [-2^(c-1), 2^(c-1)]. Digits for scalar i land at out[w * stride + i]
-// (column-major: window tasks read their digit row contiguously). For
-// k < 2^254 and num_windows = ceil(255 / c) the top window holds at
-// most c-1 raw bits, so the final carry is always zero.
-void signed_digits(const U256& k, std::size_t c, std::size_t num_windows,
-                   std::size_t stride, std::size_t i, std::int32_t* out) {
+// [-2^(c-1), 2^(c-1)], of -k when `negate` is set. Digits for scalar i
+// land at out[w * stride + i] (column-major: window tasks read their
+// digit row contiguously). For k < 2^bits and
+// num_windows = floor(bits / c) + 1 the top window holds at most c-1 raw
+// bits, so the final carry is always zero.
+void signed_digits(const U256& k, bool negate, std::size_t c,
+                   std::size_t num_windows, std::size_t stride, std::size_t i,
+                   std::int32_t* out) {
   const std::int64_t full = std::int64_t{1} << c;
   const std::int64_t half = full >> 1;
   std::uint64_t carry = 0;
@@ -74,7 +83,7 @@ void signed_digits(const U256& k, std::size_t c, std::size_t num_windows,
     }
     // digit in [-2^15, 2^15] (c <= 16), well inside int32 range.
     out[w * stride + i] =  // zkdet-lint: allow(narrowing-cast) digit fits c+1 bits
-        static_cast<std::int32_t>(digit);
+        static_cast<std::int32_t>(negate ? -digit : digit);
   }
 }
 
@@ -93,20 +102,49 @@ P running_sum(const std::vector<Bucket>& buckets,
   return acc;
 }
 
+// The bases of one bucket MSM: size() of them, the i-th by at(i).
+template <typename Traits_>
+struct AffineBases {
+  using Traits = Traits_;
+  std::span<const AffinePoint<Traits>> points;
+
+  [[nodiscard]] std::size_t size() const { return points.size(); }
+  [[nodiscard]] const AffinePoint<Traits>& at(std::size_t i) const {
+    return points[i];
+  }
+};
+
+// The 2n GLV bases of n G1 points: P_i at i < n, then
+// phi(P_i) = (beta x_i, y_i) at n + i. Only beta x_i is stored, one field
+// element per point instead of a second copy of the points.
+struct GlvBases {
+  using Traits = G1Traits;
+  std::span<const G1Affine> points;
+  std::vector<ff::Fp> beta_x;
+
+  [[nodiscard]] std::size_t size() const { return 2 * points.size(); }
+  [[nodiscard]] G1Affine at(std::size_t i) const {
+    const std::size_t n = points.size();
+    if (i < n) return points[i];
+    const G1Affine& p = points[i - n];
+    return p.is_identity() ? p : G1Affine{beta_x[i - n], p.y};
+  }
+};
+
 // Mixed-add Jacobian buckets: every bucket += ±base is one mixed add
 // (~11 muls).
-template <typename Traits>
-Point<Traits> window_sum_jacobian(const std::int32_t* wd,
-                                  std::span<const AffinePoint<Traits>> points,
-                                  std::size_t num_buckets) {
-  using P = Point<Traits>;
+template <typename Bases>
+Point<typename Bases::Traits> window_sum_jacobian(const std::int32_t* wd,
+                                                  const Bases& bases,
+                                                  std::size_t num_buckets) {
+  using P = Point<typename Bases::Traits>;
   std::vector<P> buckets(num_buckets, P::identity());
-  for (std::size_t i = 0; i < points.size(); ++i) {
+  for (std::size_t i = 0; i < bases.size(); ++i) {
     const std::int32_t d = wd[i];
     if (d > 0) {
-      buckets[static_cast<std::size_t>(d) - 1] += points[i];
+      buckets[static_cast<std::size_t>(d) - 1] += bases.at(i);
     } else if (d < 0) {
-      buckets[static_cast<std::size_t>(-d) - 1] -= points[i];
+      buckets[static_cast<std::size_t>(-d) - 1] -= bases.at(i);
     }
   }
   return running_sum(buckets, std::vector<P>{});
@@ -210,63 +248,50 @@ class BatchAffineBuckets {
   std::vector<Add> retry_;
 };
 
-template <typename Traits>
-Point<Traits> window_sum_batch_affine(
-    const std::int32_t* wd, std::span<const AffinePoint<Traits>> points,
-    std::size_t num_buckets) {
-  BatchAffineBuckets<Traits> buckets(num_buckets);
-  for (std::size_t i = 0; i < points.size(); ++i) {
+template <typename Bases>
+Point<typename Bases::Traits> window_sum_batch_affine(
+    const std::int32_t* wd, const Bases& bases, std::size_t num_buckets) {
+  BatchAffineBuckets<typename Bases::Traits> buckets(num_buckets);
+  for (std::size_t i = 0; i < bases.size(); ++i) {
     const std::int32_t d = wd[i];
-    if (d == 0 || points[i].is_identity()) continue;
+    if (d == 0) continue;
+    const auto& base = bases.at(i);
+    if (base.is_identity()) continue;
     if (d > 0) {
-      buckets.add(static_cast<std::size_t>(d) - 1, points[i]);
+      buckets.add(static_cast<std::size_t>(d) - 1, base);
     } else {
-      buckets.add(static_cast<std::size_t>(-d) - 1, -points[i]);
+      buckets.add(static_cast<std::size_t>(-d) - 1, -base);
     }
   }
   return buckets.window_sum();
 }
 
-// Signed-digit Pippenger over affine bases: negative digits use the free
-// affine negation, and only 2^(c-1) buckets are needed per window.
-// Full-width windows with kBatchAffineMinBuckets buckets or more
-// accumulate in batch-affine buckets; small inputs and the top window,
-// whose few live buckets would make nearly every base wait, keep
-// mixed-add Jacobian buckets.
-template <typename Traits>
-Point<Traits> msm_affine_impl(std::span<const Fr> scalars,
-                              std::span<const AffinePoint<Traits>> points) {
-  using P = Point<Traits>;
-  ZKDET_CHECK(scalars.size() == points.size(),
-              "msm: scalar/point count mismatch");
-  const std::size_t n = scalars.size();
-  if (n == 0) return P::identity();
-  if (n < kMsmNaiveThreshold) {
-    P acc = P::identity();
-    for (std::size_t i = 0; i < n; ++i) {
-      acc += points[i].to_jacobian().mul(scalars[i]);
-    }
-    return acc;
-  }
-  runtime::ScopedTimer timer(runtime::counters::msm_ns);
-
-  const std::size_t c = msm_window_size(n, sizeof(P));
-  const std::size_t num_windows = (kScalarBits + c) / c;  // ceil(255 / c)
+// Signed-digit Pippenger over affine bases and scalars below 2^bits:
+// negative digits use the free affine negation, and only 2^(c-1)
+// buckets are needed per window. write_digits(c, num_windows, out) fills
+// the digits of every scalar (signed_digits' layout). Full-width windows
+// with kBatchAffineMinBuckets buckets or more accumulate in batch-affine
+// buckets; small inputs and the top window, whose few live buckets would
+// make nearly every base wait, keep mixed-add Jacobian buckets.
+template <typename Bases, typename WriteDigits>
+Point<typename Bases::Traits> pippenger(const Bases& bases, std::size_t bits,
+                                        WriteDigits&& write_digits) {
+  using P = Point<typename Bases::Traits>;
+  const std::size_t n = bases.size();
+  const std::size_t c = msm_window_size(n, sizeof(P), bits);
+  const std::size_t num_windows = bits / c + 1;
   std::vector<std::int32_t> digits(num_windows * n);
-  for (std::size_t i = 0; i < n; ++i) {
-    signed_digits(scalars[i].to_canonical(), c, num_windows, n, i,
-                  digits.data());
-  }
+  write_digits(c, num_windows, digits.data());
 
   const std::size_t num_buckets = 1ull << (c - 1);
   std::vector<P> window_sums(num_windows, P::identity());
 
   const auto process_window = [&](std::size_t w) {
     const std::int32_t* wd = digits.data() + w * n;
-    const bool full_width = (w + 1) * c <= kScalarBits;
+    const bool full_width = (w + 1) * c <= bits;
     window_sums[w] = num_buckets >= kBatchAffineMinBuckets && full_width
-                         ? window_sum_batch_affine(wd, points, num_buckets)
-                         : window_sum_jacobian(wd, points, num_buckets);
+                         ? window_sum_batch_affine(wd, bases, num_buckets)
+                         : window_sum_jacobian(wd, bases, num_buckets);
   };
 
   // Windows are independent; large inputs share the process-wide pool
@@ -286,6 +311,55 @@ Point<Traits> msm_affine_impl(std::span<const Fr> scalars,
     result += window_sums[w];
   }
   return result;
+}
+
+// The one bucket MSM entry. G1 splits every scalar by GLV, k P =
+// k1 P + k2 phi(P), and runs the engine on 2n bases with 128-bit
+// half-scalars; a negative half negates its digits, which the engine
+// applies as the free affine negation. G2 runs the engine on the full
+// 254-bit scalars.
+template <typename Traits>
+Point<Traits> msm_affine_impl(std::span<const Fr> scalars,
+                              std::span<const AffinePoint<Traits>> points) {
+  using P = Point<Traits>;
+  ZKDET_CHECK(scalars.size() == points.size(),
+              "msm: scalar/point count mismatch");
+  const std::size_t n = scalars.size();
+  if (n == 0) return P::identity();
+  if (n < kMsmNaiveThreshold) {
+    P acc = P::identity();
+    for (std::size_t i = 0; i < n; ++i) {
+      acc += points[i].to_jacobian().mul(scalars[i]);
+    }
+    return acc;
+  }
+  runtime::ScopedTimer timer(runtime::counters::msm_ns);
+
+  if constexpr (std::is_same_v<Traits, G1Traits>) {
+    GlvBases bases{points, std::vector<ff::Fp>(n)};
+    const ff::Fp& beta = glv_beta();
+    for (std::size_t i = 0; i < n; ++i) bases.beta_x[i] = beta * points[i].x;
+    return pippenger(bases, kGlvScalarBits,
+                     [&](std::size_t c, std::size_t num_windows,
+                         std::int32_t* out) {
+                       for (std::size_t i = 0; i < n; ++i) {
+                         const GlvSplit s = glv_split(scalars[i].to_canonical());
+                         signed_digits(s.k1, s.neg1, c, num_windows, 2 * n, i,
+                                       out);
+                         signed_digits(s.k2, s.neg2, c, num_windows, 2 * n,
+                                       n + i, out);
+                       }
+                     });
+  } else {
+    return pippenger(AffineBases<Traits>{points}, kScalarBits,
+                     [&](std::size_t c, std::size_t num_windows,
+                         std::int32_t* out) {
+                       for (std::size_t i = 0; i < n; ++i) {
+                         signed_digits(scalars[i].to_canonical(), false, c,
+                                       num_windows, n, i, out);
+                       }
+                     });
+  }
 }
 
 // Fixed-base table: table[w][b] = (b+1) * 2^(8w) * G for the generator,
@@ -331,22 +405,39 @@ Point<Traits> fixed_mul(const Fr& k) {
 
 }  // namespace
 
-std::size_t msm_window_size(std::size_t n, std::size_t point_bytes) {
+std::size_t msm_window_size(std::size_t n, std::size_t point_bytes,
+                            std::size_t scalar_bits) {
   if (n < 32) return 3;
   std::size_t best = 3;
   std::uint64_t best_cost = ~0ull;
   for (std::size_t c = 3; c <= 16; ++c) {
     if ((1ull << (c - 1)) * point_bytes > kMsmMaxBucketBytes) break;
-    const std::uint64_t windows = (kScalarBits + c) / c;
     const std::uint64_t buckets = 1ull << (c - 1);
-    // Field-mul cost model per window: the first hit on an empty bucket
-    // is a coordinate copy (~1), later hits are mixed adds (~11 muls),
-    // and the running sum costs two Jacobian adds (~16 muls) per
-    // bucket. The first-touch term matters: wide windows see most
-    // buckets only once or twice.
+    // Per window: the first hit on an empty bucket is a coordinate copy
+    // (~1), later hits are bucket adds, and the running sum costs two
+    // adds per bucket. The first-touch term matters: wide windows see
+    // most buckets only once or twice.
     const std::uint64_t touches = std::min<std::uint64_t>(n, buckets);
-    const std::uint64_t cost =
-        windows * (11ull * (n - touches) + touches + 32ull * buckets);
+    const std::uint64_t jacobian = kMixedAddMuls * (n - touches) + touches +
+                                   2 * kJacobianAddMuls * buckets;
+    // Batch-affine windows: a bucket add is kAffineAddMuls plus its
+    // share of the batch's inversion, and the running sum adds affine
+    // buckets by mixed adds.
+    std::uint64_t full = jacobian;
+    if (buckets >= kBatchAffineMinBuckets) {
+      const std::uint64_t batch = std::min<std::uint64_t>(kBatchAffineSize,
+                                                          buckets / 2);
+      full = (kAffineAddMuls * batch + kInverseMuls) * (n - touches) / batch +
+             touches + (kMixedAddMuls + kJacobianAddMuls) * buckets;
+    }
+    // The top window holds the scalar_bits % c leftover bits and a carry,
+    // in Jacobian buckets, 2^leftover of them live. With no leftover bits
+    // its digit is the carry alone, nonzero for about half the scalars.
+    const std::uint64_t full_windows = scalar_bits / c;
+    const std::uint64_t leftover = scalar_bits % c;
+    const std::uint64_t top = kMixedAddMuls * (leftover == 0 ? n / 2 : n) +
+                              2 * kJacobianAddMuls * (1ull << leftover);
+    const std::uint64_t cost = full_windows * full + top;
     if (cost < best_cost) {
       best_cost = cost;
       best = c;

@@ -7,15 +7,17 @@
 // affine base (free: (x, -y)) halves the bucket count and memory.
 // Buckets accumulate in one of two ways, chosen by input size and window
 // position only:
-//   - full-width windows with at least 256 buckets (n >= 2219):
-//     batch-affine buckets. Up to 256 pending bucket adds share one
-//     batch inversion, ~6 field muls per add plus its share of the
-//     inversion; a base whose bucket is busy waits one batch, and what
-//     cannot wait (or is a doubling/cancellation) goes to a Jacobian
-//     overflow.
+//   - full-width windows with at least 256 buckets: batch-affine
+//     buckets. Up to 256 pending bucket adds share one batch inversion,
+//     ~6 field muls per add plus its share of the inversion; a base
+//     whose bucket is busy waits one batch, and what cannot wait (or is
+//     a doubling/cancellation) goes to a Jacobian overflow.
 //   - small inputs (e.g. the verifier's 18-term MSM) and the top window,
 //     whose few live buckets would make most bases wait: Jacobian
 //     buckets, one mixed add (~11 field muls) per base.
+// The window model prices both kinds. G1 MSMs split every scalar by GLV
+// (ec/glv.hpp) and hand the engine 2n bases with 128-bit scalars; G2
+// MSMs keep the full 254-bit scalars.
 // Windows are distributed over the shared runtime::ThreadPool above a
 // size threshold (each window is independent; only the final
 // Horner-style combine is sequential). Small inputs run serially — task
@@ -35,10 +37,16 @@ namespace zkdet::ec {
 // ~19 MB per window per pool worker.)
 inline constexpr std::size_t kMsmMaxBucketBytes = 1u << 20;
 
-// Signed-digit window width for an n-term MSM over points of
-// `point_bytes` each; (1 << (c - 1)) * point_bytes <= kMsmMaxBucketBytes
-// always holds. Exposed for tests.
-std::size_t msm_window_size(std::size_t n, std::size_t point_bytes);
+// BN-254 scalars are < r < 2^254.
+inline constexpr std::size_t kScalarBits = 254;
+
+// Signed-digit window width for an n-term bucket MSM over points of
+// `point_bytes` each and scalars below 2^scalar_bits;
+// (1 << (c - 1)) * point_bytes <= kMsmMaxBucketBytes always holds. A G1
+// MSM of n terms asks for 2n terms of kGlvScalarBits (ec/glv.hpp).
+// Exposed for tests.
+std::size_t msm_window_size(std::size_t n, std::size_t point_bytes,
+                            std::size_t scalar_bits = kScalarBits);
 
 // sum_i scalars[i] * points[i]; sizes must match. The Jacobian-input
 // overloads batch-normalize once and run the affine path; callers with

@@ -9,9 +9,11 @@
 //   };
 //
 // R = 2^256 mod p, R^2 mod p and -p^-1 mod 2^64 are derived constexpr.
-// Elements are kept in Montgomery form; multiplication is an unrolled
-// no-carry CIOS over unsigned __int128 limb products, which needs a spare
-// top bit in the modulus (both BN-254 moduli have it).
+// Elements are kept in Montgomery form. The modulus needs a spare top bit
+// (both BN-254 moduli have it): a sum of two elements then never carries
+// out of 256 bits, and multiplication is an unrolled no-carry CIOS. Add,
+// subtract and the multiply's final reduction are branch-free chains of
+// the adc/sbb primitive (ff/u256.hpp) with a mask select.
 #pragma once
 
 #include <cstdint>
@@ -32,7 +34,7 @@ class Fp_ {
   constexpr Fp_() = default;
 
   [[nodiscard]] static Fp_ zero() { return Fp_{}; }
-  [[nodiscard]] static Fp_ one() { return from_raw(r()); }
+  [[nodiscard]] static Fp_ one() { return from_raw(R); }
 
   [[nodiscard]] static Fp_ from_u64(std::uint64_t v) {
     return from_canonical(U256{v});
@@ -41,7 +43,7 @@ class Fp_ {
   // Interpret v (already reduced mod p, canonical form) as a field element.
   [[nodiscard]] static Fp_ from_canonical(const U256& v) {
     Fp_ out;
-    out.v_ = mont_mul(v, r2());
+    out.v_ = mont_mul(v, R2);
     return out;
   }
 
@@ -74,26 +76,26 @@ class Fp_ {
   bool operator==(const Fp_& o) const { return v_ == o.v_; }
   bool operator!=(const Fp_& o) const { return !(v_ == o.v_); }
 
+  // a + b < 2p < 2^256 carries out of no limb; one subtraction of p,
+  // kept unless it borrows, reduces it.
   Fp_ operator+(const Fp_& o) const {
-    Fp_ out;
-    const std::uint64_t carry = u256_add(out.v_, v_, o.v_);
-    if (carry != 0 || u256_geq(out.v_, MOD)) u256_sub(out.v_, out.v_, MOD);
-    return out;
+    U256 s;
+    u256_add(s, v_, o.v_);
+    return from_raw(reduce_below_2p(s));
   }
 
+  // a - b, plus p masked in when the subtraction borrows.
   Fp_ operator-(const Fp_& o) const {
+    U256 d;
+    const std::uint64_t mask = 0 - u256_sub(d, v_, o.v_);
+    const U256 p_or_0{MOD.limb[0] & mask, MOD.limb[1] & mask,
+                      MOD.limb[2] & mask, MOD.limb[3] & mask};
     Fp_ out;
-    const std::uint64_t borrow = u256_sub(out.v_, v_, o.v_);
-    if (borrow != 0) u256_add(out.v_, out.v_, MOD);
+    u256_add(out.v_, d, p_or_0);
     return out;
   }
 
-  Fp_ operator-() const {
-    if (is_zero()) return *this;
-    Fp_ out;
-    u256_sub(out.v_, MOD, v_);
-    return out;
-  }
+  Fp_ operator-() const { return zero() - *this; }
 
   Fp_ operator*(const Fp_& o) const { return from_raw(mont_mul(v_, o.v_)); }
 
@@ -141,65 +143,91 @@ class Fp_ {
   }
 
  private:
-  static constexpr U256 r() { return u256_pow2k_mod(256, Params::MODULUS); }
-  static constexpr U256 r2() { return u256_pow2k_mod(512, Params::MODULUS); }
+  // R and R^2 mod p are constants. Called at run time, a constexpr
+  // function need not be folded, and GCC does not fold one that runs the
+  // intrinsic carry chain.
+  static constexpr U256 R = u256_pow2k_mod(256, Params::MODULUS);
+  static constexpr U256 R2 = u256_pow2k_mod(512, Params::MODULUS);
 
-  // (hi, lo) = a * b + c + d; never overflows 128 bits.
-  static std::uint64_t mac(std::uint64_t a, std::uint64_t b, std::uint64_t c,
-                           std::uint64_t d, std::uint64_t& hi) {
-    const unsigned __int128 t = static_cast<unsigned __int128>(a) * b + c + d;
-    hi = static_cast<std::uint64_t>(t >> 64);
-    return static_cast<std::uint64_t>(t);
+  static_assert(MOD.limb[3] < (~std::uint64_t{0} >> 1) - 1,
+                "Fp_ needs a spare top bit in the modulus");
+
+  // s mod p for s < 2p: s - p, or s where that subtraction borrows.
+  static U256 reduce_below_2p(const U256& s) {
+    U256 d;
+    const std::uint64_t keep = 0 - u256_sub(d, s, MOD);
+    return U256{(s.limb[0] & keep) | (d.limb[0] & ~keep),
+                (s.limb[1] & keep) | (d.limb[1] & ~keep),
+                (s.limb[2] & keep) | (d.limb[2] & ~keep),
+                (s.limb[3] & keep) | (d.limb[3] & ~keep)};
   }
 
-  // a - b - borrow; borrow becomes 1 when it wraps.
-  static std::uint64_t sbb(std::uint64_t a, std::uint64_t b,
-                           std::uint64_t& borrow) {
-    const unsigned __int128 d = static_cast<unsigned __int128>(a) - b - borrow;
-    borrow = static_cast<std::uint64_t>(d >> 64) & 1;
-    return static_cast<std::uint64_t>(d);
+  // (hi, lo) = a * b.
+  static std::uint64_t mul_wide(std::uint64_t a, std::uint64_t b,
+                                std::uint64_t& hi) {
+    const unsigned __int128 p = static_cast<unsigned __int128>(a) * b;
+    hi = static_cast<std::uint64_t>(p >> 64);
+    return static_cast<std::uint64_t>(p);
   }
 
   // One CIOS round: t = (t + a * bi + m * p) / 2^64, with m chosen so the
-  // low word cancels. A carries a * bi, C carries m * p.
-  static void mont_round(std::uint64_t (&t)[4], const U256& a,
-                         std::uint64_t bi) {
-    std::uint64_t A = 0;
-    std::uint64_t C = 0;
-    const std::uint64_t t0 = mac(a.limb[0], bi, t[0], 0, A);
-    const std::uint64_t m = t0 * INV;
-    mac(m, MOD.limb[0], t0, 0, C);
-    std::uint64_t tj = mac(a.limb[1], bi, t[1], A, A);
-    t[0] = mac(m, MOD.limb[1], tj, C, C);
-    tj = mac(a.limb[2], bi, t[2], A, A);
-    t[1] = mac(m, MOD.limb[2], tj, C, C);
-    tj = mac(a.limb[3], bi, t[3], A, A);
-    t[2] = mac(m, MOD.limb[3], tj, C, C);
-    t[3] = C + A;
+  // low word cancels. Each half is computed row-wise: four independent
+  // 64x64 multiplies, then one carry chain over their low words and one
+  // over their high words, one word up. Five words hold every sum.
+  [[gnu::always_inline]] static void mont_round(std::uint64_t& t0,
+                                                std::uint64_t& t1,
+                                                std::uint64_t& t2,
+                                                std::uint64_t& t3,
+                                                const U256& a,
+                                                std::uint64_t bi) {
+    std::uint64_t h0 = 0, h1 = 0, h2 = 0, h3 = 0;
+    std::uint64_t l0 = mul_wide(a.limb[0], bi, h0);
+    std::uint64_t l1 = mul_wide(a.limb[1], bi, h1);
+    std::uint64_t l2 = mul_wide(a.limb[2], bi, h2);
+    std::uint64_t l3 = mul_wide(a.limb[3], bi, h3);
+    Carry k = 0;
+    const std::uint64_t x0 = adc(t0, l0, k);
+    std::uint64_t x1 = adc(t1, l1, k);
+    std::uint64_t x2 = adc(t2, l2, k);
+    std::uint64_t x3 = adc(t3, l3, k);
+    std::uint64_t x4 = adc(h3, 0, k);
+    k = 0;
+    x1 = adc(x1, h0, k);
+    x2 = adc(x2, h1, k);
+    x3 = adc(x3, h2, k);
+    x4 = adc(x4, 0, k);
+
+    const std::uint64_t m = x0 * INV;
+    l0 = mul_wide(m, MOD.limb[0], h0);
+    l1 = mul_wide(m, MOD.limb[1], h1);
+    l2 = mul_wide(m, MOD.limb[2], h2);
+    l3 = mul_wide(m, MOD.limb[3], h3);
+    k = 0;
+    adc(x0, l0, k);  // cancels to zero; only the carry is kept
+    x1 = adc(x1, l1, k);
+    x2 = adc(x2, l2, k);
+    x3 = adc(x3, l3, k);
+    x4 = adc(x4, h3, k);
+    k = 0;
+    t0 = adc(x1, h0, k);
+    t1 = adc(x2, h1, k);
+    t2 = adc(x3, h2, k);
+    t3 = adc(x4, 0, k);
   }
 
   // No-carry CIOS Montgomery multiplication (Botrel and El Housni, ePrint
   // 2022/1400): returns a*b*R^-1 mod p. While p's top limb leaves a spare
   // bit, every round's t stays below 2p < 2^256, so four running words
-  // hold it with no carry word, and one borrow-selected subtraction of p
-  // reduces the result.
-  static_assert(MOD.limb[3] < (~std::uint64_t{0} >> 1) - 1,
-                "no-carry CIOS needs a spare top bit in the modulus");
+  // hold it with no carry word, and reduce_below_2p finishes. The running
+  // words are four scalars rather than an array, which GCC keeps in
+  // registers across the rounds.
   static U256 mont_mul(const U256& a, const U256& b) {
-    std::uint64_t t[4] = {0, 0, 0, 0};
-    mont_round(t, a, b.limb[0]);
-    mont_round(t, a, b.limb[1]);
-    mont_round(t, a, b.limb[2]);
-    mont_round(t, a, b.limb[3]);
-    // t - p, keeping t where the subtraction borrows.
-    std::uint64_t borrow = 0;
-    const std::uint64_t s0 = sbb(t[0], MOD.limb[0], borrow);
-    const std::uint64_t s1 = sbb(t[1], MOD.limb[1], borrow);
-    const std::uint64_t s2 = sbb(t[2], MOD.limb[2], borrow);
-    const std::uint64_t s3 = sbb(t[3], MOD.limb[3], borrow);
-    const std::uint64_t keep = 0 - borrow;
-    return U256{(t[0] & keep) | (s0 & ~keep), (t[1] & keep) | (s1 & ~keep),
-                (t[2] & keep) | (s2 & ~keep), (t[3] & keep) | (s3 & ~keep)};
+    std::uint64_t t0 = 0, t1 = 0, t2 = 0, t3 = 0;
+    mont_round(t0, t1, t2, t3, a, b.limb[0]);
+    mont_round(t0, t1, t2, t3, a, b.limb[1]);
+    mont_round(t0, t1, t2, t3, a, b.limb[2]);
+    mont_round(t0, t1, t2, t3, a, b.limb[3]);
+    return reduce_below_2p(U256{t0, t1, t2, t3});
   }
 
   U256 v_{};  // Montgomery form

@@ -11,8 +11,61 @@
 #include <cstddef>
 #include <string>
 #include <string_view>
+#include <type_traits>
+
+#if defined(__x86_64__)
+#include <x86intrin.h>
+#endif
 
 namespace zkdet::ff {
+
+// --- Carry chains ------------------------------------------------------
+//
+// adc/sbb are the one add-with-carry and subtract-with-borrow primitive
+// under U256 and the field kernels: a + b + carry and a - b - borrow,
+// with the carry (borrow) in and out in {0, 1}. The unsigned __int128
+// forms compile everywhere, also in constant expressions. On x86-64 the
+// run-time path uses _addcarry_u64/_subborrow_u64, which GCC chains
+// through the flags register; from the __int128 form it rebuilds every
+// carry as a 128-bit value. Tests compare the two forms.
+using Carry = unsigned char;
+
+constexpr std::uint64_t adc_u128(std::uint64_t a, std::uint64_t b,
+                                 Carry& carry) {
+  const unsigned __int128 s = static_cast<unsigned __int128>(a) + b + carry;
+  carry = (s >> 64) != 0;
+  return static_cast<std::uint64_t>(s);
+}
+
+constexpr std::uint64_t sbb_u128(std::uint64_t a, std::uint64_t b,
+                                 Carry& borrow) {
+  const unsigned __int128 d =
+      static_cast<unsigned __int128>(a) - b - borrow;
+  borrow = (d >> 64) != 0;
+  return static_cast<std::uint64_t>(d);
+}
+
+constexpr std::uint64_t adc(std::uint64_t a, std::uint64_t b, Carry& carry) {
+#if defined(__x86_64__)
+  if (!std::is_constant_evaluated()) {
+    unsigned long long out = 0;
+    carry = _addcarry_u64(carry, a, b, &out);
+    return out;
+  }
+#endif
+  return adc_u128(a, b, carry);
+}
+
+constexpr std::uint64_t sbb(std::uint64_t a, std::uint64_t b, Carry& borrow) {
+#if defined(__x86_64__)
+  if (!std::is_constant_evaluated()) {
+    unsigned long long out = 0;
+    borrow = _subborrow_u64(borrow, a, b, &out);
+    return out;
+  }
+#endif
+  return sbb_u128(a, b, borrow);
+}
 
 struct U256 {
   // limb[0] is the least significant 64 bits.
@@ -65,25 +118,21 @@ constexpr bool u256_geq(const U256& a, const U256& b) { return !u256_less(a, b);
 
 // out = a + b, returns carry.
 constexpr std::uint64_t u256_add(U256& out, const U256& a, const U256& b) {
-  std::uint64_t carry = 0;
-  for (std::size_t i = 0; i < 4; ++i) {
-    const unsigned __int128 s =
-        static_cast<unsigned __int128>(a.limb[i]) + b.limb[i] + carry;
-    out.limb[i] = static_cast<std::uint64_t>(s);
-    carry = static_cast<std::uint64_t>(s >> 64);
-  }
+  Carry carry = 0;
+  out.limb[0] = adc(a.limb[0], b.limb[0], carry);
+  out.limb[1] = adc(a.limb[1], b.limb[1], carry);
+  out.limb[2] = adc(a.limb[2], b.limb[2], carry);
+  out.limb[3] = adc(a.limb[3], b.limb[3], carry);
   return carry;
 }
 
 // out = a - b, returns borrow.
 constexpr std::uint64_t u256_sub(U256& out, const U256& a, const U256& b) {
-  std::uint64_t borrow = 0;
-  for (std::size_t i = 0; i < 4; ++i) {
-    const unsigned __int128 d = static_cast<unsigned __int128>(a.limb[i]) -
-                                b.limb[i] - borrow;
-    out.limb[i] = static_cast<std::uint64_t>(d);
-    borrow = static_cast<std::uint64_t>((d >> 64) != 0 ? 1 : 0);
-  }
+  Carry borrow = 0;
+  out.limb[0] = sbb(a.limb[0], b.limb[0], borrow);
+  out.limb[1] = sbb(a.limb[1], b.limb[1], borrow);
+  out.limb[2] = sbb(a.limb[2], b.limb[2], borrow);
+  out.limb[3] = sbb(a.limb[3], b.limb[3], borrow);
   return borrow;
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <vector>
 
 #include "ff/batch_inverse.hpp"
 #include "ff/fp2.hpp"
@@ -14,6 +15,8 @@ namespace {
 
 using oracle::BigUInt;
 using oracle::bigint_div_u256;
+using oracle::mod_add_branchy;
+using oracle::mod_sub_branchy;
 using oracle::mont_mul_cios;
 
 TEST(Field, Identities) {
@@ -296,6 +299,84 @@ void mont_mul_differential(std::uint64_t seed) {
 TEST(Field, MontMulMatchesOracle) {
   mont_mul_differential<Fp>(1801);
   mont_mul_differential<Fr>(1802);
+}
+
+// --- Carry-chain add, subtract, negate and double against the branchy
+// --- oracle --------------------------------------------------------------
+
+template <typename F>
+void expect_add_sub_match(const U256& a, const U256& b) {
+  const F fa = F::from_raw(a);
+  const F fb = F::from_raw(b);
+  ASSERT_EQ((fa + fb).raw(), mod_add_branchy(a, b, F::MOD))
+      << "a=" << u256_to_hex(a) << " b=" << u256_to_hex(b);
+  ASSERT_EQ((fa - fb).raw(), mod_sub_branchy(a, b, F::MOD))
+      << "a=" << u256_to_hex(a) << " b=" << u256_to_hex(b);
+  ASSERT_EQ((-fa).raw(), mod_sub_branchy(U256{0}, a, F::MOD))
+      << "a=" << u256_to_hex(a);
+  ASSERT_EQ(fa.dbl().raw(), mod_add_branchy(a, a, F::MOD))
+      << "a=" << u256_to_hex(a);
+}
+
+template <typename F>
+void add_sub_differential(std::uint64_t seed) {
+  U256 p_minus_1{};
+  U256 p_minus_2{};
+  u256_sub(p_minus_1, F::MOD, U256{1});
+  u256_sub(p_minus_2, F::MOD, U256{2});
+  const U256 edges[] = {U256{0}, U256{1}, p_minus_1, p_minus_2};
+  for (const U256& a : edges) {
+    for (const U256& b : edges) expect_add_sub_match<F>(a, b);
+  }
+  // Sums at the reduction boundary: a + b in {p - 1, p, p + 1}.
+  std::mt19937_64 rng(seed);
+  for (int i = 0; i < 1000; ++i) {
+    U256 a = random_raw<F>(rng);
+    if (u256_less(a, U256{2})) a = U256{2};
+    for (const std::uint64_t over : {0u, 1u, 2u}) {
+      // b = p - 1 + over - a, which is below p for 2 <= a < p.
+      U256 b{};
+      u256_sub(b, p_minus_1, a);
+      u256_add(b, b, U256{over});
+      expect_add_sub_match<F>(a, b);
+      expect_add_sub_match<F>(b, a);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+  constexpr std::size_t kPairs = 1'000'000;
+  for (std::size_t i = 0; i < kPairs; ++i) {
+    expect_add_sub_match<F>(random_raw<F>(rng), random_raw<F>(rng));
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST(Field, AddSubMatchOracle) {
+  add_sub_differential<Fp>(1803);
+  add_sub_differential<Fr>(1804);
+}
+
+// The intrinsic adc/sbb and their unsigned __int128 forms agree, carry
+// in 0 and 1, on edge words and random ones.
+TEST(Field, CarryPrimitiveMatchesInt128) {
+  const std::uint64_t ones = ~std::uint64_t{0};
+  std::vector<std::uint64_t> words = {0, 1, 2, ones, ones - 1,
+                                      std::uint64_t{1} << 63};
+  std::mt19937_64 rng(1805);
+  for (int i = 0; i < 1000; ++i) words.push_back(rng());
+  for (const std::uint64_t a : words) {
+    for (const std::uint64_t b : words) {
+      for (const Carry carry_in : {Carry{0}, Carry{1}}) {
+        Carry c_fast = carry_in;
+        Carry c_ref = carry_in;
+        ASSERT_EQ(adc(a, b, c_fast), adc_u128(a, b, c_ref)) << a << " " << b;
+        ASSERT_EQ(c_fast, c_ref) << a << " " << b;
+        c_fast = carry_in;
+        c_ref = carry_in;
+        ASSERT_EQ(sbb(a, b, c_fast), sbb_u128(a, b, c_ref)) << a << " " << b;
+        ASSERT_EQ(c_fast, c_ref) << a << " " << b;
+      }
+    }
+  }
 }
 
 class FieldSeedSweep : public ::testing::TestWithParam<std::uint64_t> {};

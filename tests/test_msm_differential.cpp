@@ -2,9 +2,10 @@
 // (on Jacobian and on pre-normalized affine bases) and the naive
 // double-and-add reference must agree bit-for-bit on every input class
 // that has historically broken bucket MSMs (zero scalars, identity
-// bases, duplicate bases, scalars at the group order boundary, sizes
-// straddling the naive/parallel and Jacobian/batch-affine bucket
-// thresholds, doublings and cancellations inside a batch). Also covers
+// bases, duplicate bases, scalars at the group order boundary, scalars
+// at the edges of the GLV split, sizes straddling the
+// naive/parallel and Jacobian/batch-affine bucket thresholds, doublings
+// and cancellations inside a batch). Also covers
 // batch normalization with identities, mixed (Jacobian + affine)
 // addition, the constant-time ladder, and the bucket-memory window cap.
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include <random>
 #include <vector>
 
+#include "ec/glv.hpp"
 #include "ec/msm.hpp"
 
 namespace zkdet::ec {
@@ -24,6 +26,8 @@ using ff::random_field;
 // Scalar just below the group order: r - 1 == -1 mod r. Exercises the
 // top signed-digit window and every carry in the decomposition.
 Fr r_minus_one() { return Fr::zero() - Fr::one(); }
+
+Fr pow2(std::size_t e) { return Fr::from_u64(2).pow(U256{e}); }
 
 struct G1Api {
   using Jac = G1;
@@ -74,9 +78,8 @@ void run_edge_suite(std::uint64_t seed,
   std::mt19937_64 rng(seed);
   // Sizes straddle the dispatch thresholds: n < 8 runs naive, n >= 256
   // distributes windows over the thread pool, and the large sizes
-  // straddle n = 2219, where the window grows to 256 buckets and
-  // full-width windows switch to batch-affine buckets (half-full batches
-  // of 128 at 2219, batches of 256 at 4096).
+  // straddle the cut where the window grows to 256 buckets and
+  // full-width windows switch to batch-affine buckets.
   std::vector<std::size_t> sizes = {1, 7, 8, 9, 255, 256, 257};
   sizes.insert(sizes.end(), large_sizes);
   for (const std::size_t n : sizes) {
@@ -94,19 +97,41 @@ void run_edge_suite(std::uint64_t seed,
       points[1] = Api::Jac::identity();     // identity base, max scalar
       points[2] = points[n - 1];            // duplicate base
     }
+    // GLV edges: lambda and r - lambda, whose exact split is (0, +-1),
+    // and 2^127, 2^128 at the half-scalar width.
+    if (n >= 7) {
+      scalars[3] = glv_lambda();
+      scalars[4] = -glv_lambda();
+      scalars[5] = pow2(127);
+      scalars[6] = pow2(128);
+    }
     check_all_paths<Api>(scalars, points,
                          ("n=" + std::to_string(n)).c_str());
   }
 }
 
+// Buckets per window of an n-term G1 MSM: GLV hands the engine 2n
+// half-scalars of kGlvScalarBits.
+std::size_t g1_buckets(std::size_t n) {
+  return std::size_t{1}
+         << (msm_window_size(2 * n, sizeof(G1), kGlvScalarBits) - 1);
+}
+
 TEST(MsmDifferential, G1EdgeInputs) {
-  // 2218 and 2219 must sit on either side of 256 buckets per window.
-  EXPECT_LT(std::size_t{1} << (msm_window_size(2218, sizeof(G1)) - 1), 256u);
-  EXPECT_GE(std::size_t{1} << (msm_window_size(2219, sizeof(G1)) - 1), 256u);
-  run_edge_suite<G1Api>(101, {2047, 2048, 2218, 2219, 4096});
+  // 295 and 296 must sit on either side of 256 buckets per window. The
+  // suite keeps the sizes around the cut before batch-affine windows
+  // were priced and GLV halved the scalars (2218, 2219), and the real
+  // commitment sizes 2050 and 8195.
+  EXPECT_LT(g1_buckets(295), 256u);
+  EXPECT_GE(g1_buckets(296), 256u);
+  run_edge_suite<G1Api>(101, {295, 296, 2047, 2048, 2050, 2218, 2219, 4096,
+                              8195});
 }
 TEST(MsmDifferential, G2EdgeInputs) {
-  run_edge_suite<G2Api>(202, {2048, 2219});
+  // The full-width (254-bit) engine reaches 256 buckets at n = 592.
+  EXPECT_LT(std::size_t{1} << (msm_window_size(591, sizeof(G2)) - 1), 256u);
+  EXPECT_GE(std::size_t{1} << (msm_window_size(592, sizeof(G2)) - 1), 256u);
+  run_edge_suite<G2Api>(202, {591, 592, 2048, 2219});
 }
 
 // Batch-affine buckets meet a base with the bucket's own x: with every
@@ -187,6 +212,23 @@ TEST(MsmDifferential, G1AllMaxScalars) {
   std::vector<G1> points(32);
   for (auto& p : points) p = g1_mul_generator(random_field<Fr>(rng));
   check_all_paths<G1Api>(scalars, points, "all r-1 scalars");
+}
+
+// Every scalar r - 1 at a commitment size: every half-scalar of the GLV
+// split and every digit carry is extreme in every window, on
+// batch-affine buckets. Bases are x_i * G, so the sum is -(sum x_i) * G.
+TEST(MsmDifferential, G1AllMaxScalarsBatchAffine) {
+  constexpr std::size_t n = 2050;
+  std::mt19937_64 rng(10);
+  const std::vector<Fr> scalars(n, r_minus_one());
+  std::vector<G1> points(n);
+  Fr exponent = Fr::zero();
+  for (auto& p : points) {
+    const Fr x = random_field<Fr>(rng);
+    p = g1_mul_generator(x);
+    exponent -= x;
+  }
+  EXPECT_EQ(msm(scalars, points), g1_mul_generator(exponent));
 }
 
 TEST(MsmDifferential, EmptyInputIsIdentity) {
