@@ -1,6 +1,8 @@
 // Shared helpers for the paper-reproduction benches.
 #pragma once
 
+#include <time.h>
+
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -18,6 +20,25 @@ class Stopwatch {
 
  private:
   std::chrono::steady_clock::time_point start_;
+};
+
+// CPU time of the calling thread (CLOCK_THREAD_CPUTIME_ID), or of the
+// whole process (CLOCK_PROCESS_CPUTIME_ID), since construction.
+class CpuStopwatch {
+ public:
+  explicit CpuStopwatch(clockid_t clock = CLOCK_THREAD_CPUTIME_ID)
+      : clock_(clock), start_(now()) {}
+  [[nodiscard]] double seconds() const { return now() - start_; }
+
+ private:
+  [[nodiscard]] double now() const {
+    timespec ts{};
+    clock_gettime(clock_, &ts);
+    return static_cast<double>(ts.tv_sec) +
+           static_cast<double>(ts.tv_nsec) * 1e-9;
+  }
+  clockid_t clock_;
+  double start_;
 };
 
 inline std::string fmt_seconds(double s) {

@@ -30,10 +30,11 @@
 # Usage: scripts/ci.sh [--quick] [--skip-tsan]
 #   --quick      lint + analysis + tier-1 + bench smokes (MSM sweep,
 #                chain pipeline, replication, RPC) + a disjoint failover
-#                matrix slice + the e2ebench smoke test (pre-push sanity;
+#                matrix slice + the e2ebench smoke test + the concurrent
+#                provenance-audit test under TSan (pre-push sanity;
 #                minutes, not hours; analysis is compile-only so it
 #                stays in quick)
-#   --skip-tsan  everything except the TSan stage (it is the slowest)
+#   --skip-tsan  everything except the TSan stages (they are the slowest)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -115,6 +116,18 @@ if [[ "$QUICK" == "1" ]]; then
   # Builds zkdet_e2e from source and runs every workload briefly,
   # including a forced gate failure that must be reported as such.
   python3 e2ebench/smoke_test.py
+  if [[ "$SKIP_TSAN" == "1" ]]; then
+    echo "=== tsan: concurrent provenance audits skipped (--skip-tsan) ==="
+  else
+    echo "=== tsan: concurrent provenance audits (quick) ==="
+    # Four pool threads verify provenance chains at once, the e2ebench
+    # audit shape: statement rebuild, key lookup and the chain fold
+    # must be race-free. The full TSan stage runs the whole suite.
+    cmake -B build-tsan -S . -DZKDET_SANITIZE=thread
+    cmake --build build-tsan -j --target zkdet_core_tests
+    ./build-tsan/tests/zkdet_core_tests \
+      --gtest_filter='ProtocolFixture.ConcurrentAuditorsVerifyChains'
+  fi
   echo "=== quick mode: remaining stages skipped ==="
   echo "=== CI OK (quick) ==="
   exit 0

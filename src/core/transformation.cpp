@@ -216,15 +216,19 @@ std::optional<OwnedAsset> TransformationProtocol::process(
 
 // --- verification ---
 
-bool TransformationProtocol::verify_encryption(std::uint64_t token_id) const {
-  const auto statement = encryption_statement(token_id);
+bool TransformationProtocol::add_encryption_claim(
+    std::uint64_t token_id, std::vector<Claim>& out) const {
+  auto statement = encryption_statement(token_id);
   if (!statement) return false;
   const EncryptionRecord& rec = enc_records_.at(token_id);
-  return sys_.verify(rec.shape_id, *statement, rec.proof);
+  const plonk::KeyPairResult* keys = sys_.find_keys(rec.shape_id);
+  if (keys == nullptr) return false;
+  out.push_back({&keys->vk, std::move(*statement), &rec.proof});
+  return true;
 }
 
-bool TransformationProtocol::verify_transformation(
-    std::uint64_t token_id) const {
+bool TransformationProtocol::add_transformation_claim(
+    std::uint64_t token_id, std::vector<Claim>& out) const {
   const auto info = sys_.nft().token(token_id);
   if (!info) return false;
   if (info->formula == Formula::kGenesis) return true;  // nothing to check
@@ -262,19 +266,65 @@ bool TransformationProtocol::verify_transformation(
     case Formula::kGenesis:
       return true;
   }
-  return sys_.verify(rec.shape_id, publics, rec.proof);
+  const plonk::KeyPairResult* keys = sys_.find_keys(rec.shape_id);
+  if (keys == nullptr) return false;
+  out.push_back({&keys->vk, std::move(publics), &rec.proof});
+  return true;
+}
+
+plonk::BatchResult TransformationProtocol::fold(
+    const std::vector<Claim>& claims) {
+  std::vector<plonk::BatchEntry> entries;
+  entries.reserve(claims.size());
+  for (const Claim& c : claims) entries.push_back({c.vk, &c.publics, c.proof});
+  return plonk::batch_verify_attributed(entries);
+}
+
+bool TransformationProtocol::verify_encryption(std::uint64_t token_id) const {
+  std::vector<Claim> claims;
+  return add_encryption_claim(token_id, claims) && fold(claims).all_ok();
+}
+
+bool TransformationProtocol::verify_transformation(
+    std::uint64_t token_id) const {
+  std::vector<Claim> claims;
+  return add_transformation_claim(token_id, claims) && fold(claims).all_ok();
 }
 
 bool TransformationProtocol::verify_provenance_chain(
     std::uint64_t token_id) const {
-  if (!sys_.nft().exists(token_id)) return false;
+  return !first_invalid_in_chain(token_id).has_value();
+}
+
+std::optional<std::uint64_t> TransformationProtocol::first_invalid_in_chain(
+    std::uint64_t token_id) const {
+  if (!sys_.nft().exists(token_id)) return token_id;
   std::vector<std::uint64_t> all = sys_.nft().provenance(token_id);
   all.push_back(token_id);
-  for (const std::uint64_t id : all) {
-    if (!verify_encryption(id)) return false;
-    if (!verify_transformation(id)) return false;
+
+  // Gather every claim of the chain; a token whose statement cannot be
+  // rebuilt is bad without a pairing.
+  std::vector<Claim> claims;
+  std::vector<std::size_t> owner;  // claim -> position in `all`
+  std::vector<std::uint8_t> bad(all.size(), 0);
+  for (std::size_t t = 0; t < all.size(); ++t) {
+    const std::size_t first = claims.size();
+    if (!add_encryption_claim(all[t], claims) ||
+        !add_transformation_claim(all[t], claims)) {
+      claims.resize(first);
+      bad[t] = 1;
+      continue;
+    }
+    owner.resize(claims.size(), t);
   }
-  return true;
+  const plonk::BatchResult verdict = fold(claims);
+  for (std::size_t k = 0; k < claims.size(); ++k) {
+    if (verdict.ok[k] == 0) bad[owner[k]] = 1;
+  }
+  for (std::size_t t = 0; t < all.size(); ++t) {
+    if (bad[t] != 0) return all[t];
+  }
+  return std::nullopt;
 }
 
 const EncryptionRecord* TransformationProtocol::encryption_record(

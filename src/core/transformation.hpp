@@ -80,6 +80,14 @@ class TransformationProtocol {
   [[nodiscard]] bool verify_transformation(std::uint64_t token_id) const;
   // Full proof chain: pi_e of every ancestor and pi_t of every edge.
   [[nodiscard]] bool verify_provenance_chain(std::uint64_t token_id) const;
+  // The same check with attribution: nullopt when the whole chain
+  // verifies, else the first token, in provenance order with the token
+  // itself last, whose pi_e or pi_t does not (the token itself when it
+  // was never minted). Every proof of the chain goes into one
+  // plonk::batch_verify_attributed fold: one MSM per pairing side and
+  // one pairing product when the chain is honest.
+  [[nodiscard]] std::optional<std::uint64_t> first_invalid_in_chain(
+      std::uint64_t token_id) const;
 
   [[nodiscard]] const EncryptionRecord* encryption_record(
       std::uint64_t token_id) const;
@@ -97,6 +105,25 @@ class TransformationProtocol {
       std::uint64_t token_id) const;
 
  private:
+  // One proof to check: its shape's verifying key, its public statement
+  // rebuilt from chain and storage, and the proof itself.
+  struct Claim {
+    const plonk::VerifyingKey* vk = nullptr;
+    std::vector<Fr> publics;
+    const plonk::Proof* proof = nullptr;
+  };
+  // Append the token's pi_e / pi_t claim to `out`. False when the
+  // statement cannot be rebuilt or the shape has no key, which fails
+  // verification. A genesis token has no pi_t:
+  // add_transformation_claim appends nothing.
+  bool add_encryption_claim(std::uint64_t token_id,
+                            std::vector<Claim>& out) const;
+  bool add_transformation_claim(std::uint64_t token_id,
+                                std::vector<Claim>& out) const;
+  // One verdict per claim, from one plonk::batch_verify_attributed fold
+  // (a single claim gets plonk::verify's exact check).
+  static plonk::BatchResult fold(const std::vector<Claim>& claims);
+
   // Encrypts, stores, proves pi_e; returns the minted token id.
   std::optional<std::uint64_t> mint_with_encryption(
       const crypto::KeyPair& owner, OwnedAsset& asset, chain::Formula formula,

@@ -52,16 +52,21 @@ G2 g2_psi(const G2& q) {
             q.Y.conjugate() * ff::frobenius_coeff(1, 3), q.Z.conjugate()};
 }
 
-std::vector<std::uint8_t> g1_to_bytes(const G1& p) {
+std::vector<std::uint8_t> g1_to_bytes(const G1Affine& p) {
   std::vector<std::uint8_t> out(64, 0);
   if (p.is_identity()) return out;
-  Fp x, y;
-  p.to_affine(x, y);
-  const auto xb = ff::u256_to_bytes(x.to_canonical());
-  const auto yb = ff::u256_to_bytes(y.to_canonical());
+  const auto xb = ff::u256_to_bytes(p.x.to_canonical());
+  const auto yb = ff::u256_to_bytes(p.y.to_canonical());
   std::copy(xb.begin(), xb.end(), out.begin());
   std::copy(yb.begin(), yb.end(), out.begin() + 32);
   return out;
+}
+
+std::vector<std::uint8_t> g1_to_bytes(const G1& p) {
+  if (p.is_identity()) return g1_to_bytes(G1Affine::identity());
+  Fp x, y;
+  p.to_affine(x, y);
+  return g1_to_bytes(G1Affine{x, y});
 }
 
 namespace {

@@ -364,8 +364,10 @@ inline std::vector<G2Affine> batch_normalize(std::span<const G2> points) {
 }
 
 // 64-byte uncompressed affine serialization of a G1 point (x||y big
-// endian); the identity serializes as all zeros.
+// endian); the identity serializes as all zeros. The Jacobian form pays
+// one inversion; callers with many points batch_normalize them first.
 std::vector<std::uint8_t> g1_to_bytes(const G1& p);
+std::vector<std::uint8_t> g1_to_bytes(const G1Affine& p);
 std::vector<std::uint8_t> g2_to_bytes(const G2& p);
 
 // Deserialization; rejects (nullopt) malformed encodings and points

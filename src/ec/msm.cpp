@@ -157,7 +157,9 @@ Point<typename Bases::Traits> window_sum_jacobian(const std::int32_t* wd,
 // whose bucket already has an add pending waits for the next batch, once. A base that cannot
 // wait, and the rare base with its bucket's x (a doubling or a
 // cancellation), goes into that bucket's Jacobian overflow by a mixed
-// add; the overflow array is only allocated when that happens.
+// add; the overflow array is only allocated when that happens. The
+// batch inversion keeps its prefix products in the caller's `scratch`,
+// so one buffer serves every batch of every window a task runs.
 template <typename Traits>
 class BatchAffineBuckets {
  public:
@@ -165,12 +167,14 @@ class BatchAffineBuckets {
   using P = Point<Traits>;
   using F = typename Traits::Field;
 
-  explicit BatchAffineBuckets(std::size_t num_buckets)
+  BatchAffineBuckets(std::size_t num_buckets, std::vector<F>& scratch)
       : batch_size_(std::min(kBatchAffineSize, num_buckets / 2)),
         buckets_(num_buckets),
-        busy_(num_buckets, 0) {
+        busy_(num_buckets, 0),
+        scratch_(scratch) {
     pending_.reserve(batch_size_);
     dx_.reserve(batch_size_);
+    if (scratch_.size() < batch_size_) scratch_.resize(batch_size_);
   }
 
   void add(std::size_t bucket, const A& base) {
@@ -220,7 +224,7 @@ class BatchAffineBuckets {
   // waiting base its one retry.
   void run_batch() {
     if (!pending_.empty()) {
-      ff::batch_inverse(std::span<F>(dx_));
+      ff::batch_inverse(std::span<F>(dx_), std::span<F>(scratch_));
       for (std::size_t k = 0; k < pending_.size(); ++k) {
         const Add& a = pending_[k];
         A& acc = buckets_[a.bucket];
@@ -246,12 +250,14 @@ class BatchAffineBuckets {
   std::vector<F> dx_;  // base.x - bucket.x per pending add
   std::vector<Add> waiting_;
   std::vector<Add> retry_;
+  std::vector<F>& scratch_;  // batch_inverse prefix products
 };
 
 template <typename Bases>
 Point<typename Bases::Traits> window_sum_batch_affine(
-    const std::int32_t* wd, const Bases& bases, std::size_t num_buckets) {
-  BatchAffineBuckets<typename Bases::Traits> buckets(num_buckets);
+    const std::int32_t* wd, const Bases& bases, std::size_t num_buckets,
+    std::vector<typename Bases::Traits::Field>& scratch) {
+  BatchAffineBuckets<typename Bases::Traits> buckets(num_buckets, scratch);
   for (std::size_t i = 0; i < bases.size(); ++i) {
     const std::int32_t d = wd[i];
     if (d == 0) continue;
@@ -286,23 +292,27 @@ Point<typename Bases::Traits> pippenger(const Bases& bases, std::size_t bits,
   const std::size_t num_buckets = 1ull << (c - 1);
   std::vector<P> window_sums(num_windows, P::identity());
 
-  const auto process_window = [&](std::size_t w) {
-    const std::int32_t* wd = digits.data() + w * n;
-    const bool full_width = (w + 1) * c <= bits;
-    window_sums[w] = num_buckets >= kBatchAffineMinBuckets && full_width
-                         ? window_sum_batch_affine(wd, bases, num_buckets)
-                         : window_sum_jacobian(wd, bases, num_buckets);
+  // Each run of windows owns one batch-inversion scratch buffer.
+  using F = typename Bases::Traits::Field;
+  const auto process_windows = [&](std::size_t lo, std::size_t hi) {
+    std::vector<F> scratch;
+    for (std::size_t w = lo; w < hi; ++w) {
+      const std::int32_t* wd = digits.data() + w * n;
+      const bool full_width = (w + 1) * c <= bits;
+      window_sums[w] =
+          num_buckets >= kBatchAffineMinBuckets && full_width
+              ? window_sum_batch_affine(wd, bases, num_buckets, scratch)
+              : window_sum_jacobian(wd, bases, num_buckets);
+    }
   };
 
   // Windows are independent; large inputs share the process-wide pool
   // (one chunk per window) instead of spawning threads per call.
   auto& pool = runtime::ThreadPool::instance();
   if (n < kMsmParallelThreshold || pool.concurrency() <= 1) {
-    for (std::size_t w = 0; w < num_windows; ++w) process_window(w);
+    process_windows(0, num_windows);
   } else {
-    pool.parallel_for(num_windows, 1, [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t w = lo; w < hi; ++w) process_window(w);
-    });
+    pool.parallel_for(num_windows, 1, process_windows);
   }
 
   P result = P::identity();

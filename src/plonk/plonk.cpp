@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <functional>
+#include <unordered_map>
 
 #include "check/check.hpp"
 #include "check/invariants.hpp"
@@ -55,6 +56,30 @@ Layout build_layout(const ConstraintSystem& cs, std::size_t n) {
     l.wc[row] = gates[i].c;
   }
   return l;
+}
+
+// The key's eight commitments in transcript order.
+std::array<const G1*, 8> key_commitments(const VerifyingKey& vk) {
+  return {&vk.cm_qm, &vk.cm_ql, &vk.cm_qr, &vk.cm_qo,
+          &vk.cm_qc, &vk.cm_s1, &vk.cm_s2, &vk.cm_s3};
+}
+
+// Affine forms of `points`, for one field inversion in all.
+template <std::size_t N>
+std::vector<ec::G1Affine> normalize(const std::array<const G1*, N>& points) {
+  std::array<G1, N> jac;
+  for (std::size_t i = 0; i < N; ++i) jac[i] = *points[i];
+  return ec::batch_normalize(std::span<const G1>(jac));
+}
+
+// VerifyingKey::bind_transcript with the commitments already affine.
+void bind_key(Transcript& t, const VerifyingKey& vk,
+              std::span<const ec::G1Affine> commitments) {
+  t.absorb_u64(vk.n);
+  t.absorb_u64(vk.ell);
+  t.absorb_fr(vk.k1);
+  t.absorb_fr(vk.k2);
+  for (const ec::G1Affine& cm : commitments) t.absorb_g1(cm);
 }
 
 }  // namespace
@@ -122,14 +147,7 @@ std::optional<Proof> Proof::from_bytes(std::span<const std::uint8_t> bytes) {
 }
 
 void VerifyingKey::bind_transcript(Transcript& t) const {
-  t.absorb_u64(n);
-  t.absorb_u64(ell);
-  t.absorb_fr(k1);
-  t.absorb_fr(k2);
-  for (const G1* cm : {&cm_qm, &cm_ql, &cm_qr, &cm_qo, &cm_qc, &cm_s1, &cm_s2,
-                       &cm_s3}) {
-    t.absorb_g1(*cm);
-  }
+  bind_key(t, *this, normalize(key_commitments(*this)));
 }
 
 std::optional<KeyPairResult> preprocess(const ConstraintSystem& cs,
@@ -578,35 +596,73 @@ bool pairing_holds(const PairingCheck& c, const PreparedG2Pair& g2) {
   return ec::pairing_product_is_one(terms);
 }
 
-// verify_prepare minus the G2 validation (the caller owns that).
-std::optional<PairingCheck> reduce_to_pairing(
-    const VerifyingKey& vk, const std::vector<Fr>& public_inputs,
-    const Proof& proof) {
+// One scalar * base term of a deferred MSM. `id` is the address the
+// base was read from: a verifying key's commitment, a proof point or the
+// shared generator. Terms with one id have one base, so a fold can merge
+// them into one scalar.
+struct Term {
+  Fr scalar;
+  const void* id = nullptr;
+  ec::G1Affine base;
+};
+
+// A proof's pairing check with its MSMs not yet evaluated: accept iff
+// e(sum lhs, [tau]_2) * e(-sum rhs, [1]_2) == 1. `binding` is the final
+// state of the verifier's transcript, which has absorbed the key, every
+// public input and every proof element.
+struct DeferredCheck {
+  std::array<Term, 2> lhs;   // (1, W_zeta), (u, W_zeta_omega)
+  std::array<Term, 18> rhs;
+  Transcript::State binding;
+};
+
+// The one address every proof's E = [e]_1 term reads the generator from.
+const ec::G1Affine& generator_base() {
+  static const ec::G1Affine g = ec::G1Affine::generator();
+  return g;
+}
+
+// verify_prepare minus the G2 validation (the caller owns that) and
+// minus the group arithmetic: every transcript and scalar step of the
+// verifier. Serialising the proof's nine points and the key's eight
+// commitments for the transcript takes one field inversion in all.
+std::optional<DeferredCheck> defer_check(const VerifyingKey& vk,
+                                         const std::vector<Fr>& public_inputs,
+                                         const Proof& proof) {
   if (public_inputs.size() != vk.ell) return std::nullopt;
   const std::size_t n = vk.n;
   if (!check::valid_ntt_domain(n)) return std::nullopt;
 
-  // Commitments must be on the curve (cheap structural validation; G1
-  // has cofactor 1, so on-curve is the full subgroup check).
-  for (const G1* p : {&proof.cm_a, &proof.cm_b, &proof.cm_c, &proof.cm_z,
-                      &proof.cm_t_lo, &proof.cm_t_mid, &proof.cm_t_hi,
-                      &proof.w_zeta, &proof.w_zeta_omega}) {
-    if (!check::in_g1(*p)) return std::nullopt;
+  // The proof's points, then the key's commitments, each in transcript
+  // order. Proof points must be on the curve (cheap structural
+  // validation; G1 has cofactor 1, so on-curve is the full subgroup
+  // check).
+  enum : std::size_t { kA, kB, kC, kZ, kTLo, kTMid, kTHi, kW, kWOmega,
+                       kQm, kQl, kQr, kQo, kQc, kS1, kS2, kS3 };
+  const std::array<const G1*, 8> cms = key_commitments(vk);
+  const std::array<const G1*, 17> pts = {
+      &proof.cm_a,    &proof.cm_b,   &proof.cm_c,
+      &proof.cm_z,    &proof.cm_t_lo, &proof.cm_t_mid,
+      &proof.cm_t_hi, &proof.w_zeta, &proof.w_zeta_omega,
+      cms[0], cms[1], cms[2], cms[3], cms[4], cms[5], cms[6], cms[7]};
+  for (std::size_t k = kA; k <= kWOmega; ++k) {
+    if (!check::in_g1(*pts[k])) return std::nullopt;
   }
+  const std::vector<ec::G1Affine> pa = normalize(pts);
 
   Transcript transcript("zkdet-plonk");
-  vk.bind_transcript(transcript);
+  bind_key(transcript, vk, std::span(pa).subspan(kQm));
   for (const Fr& x : public_inputs) transcript.absorb_fr(x);
-  transcript.absorb_g1(proof.cm_a);
-  transcript.absorb_g1(proof.cm_b);
-  transcript.absorb_g1(proof.cm_c);
+  transcript.absorb_g1(pa[kA]);
+  transcript.absorb_g1(pa[kB]);
+  transcript.absorb_g1(pa[kC]);
   const Fr beta = transcript.challenge("beta");
   const Fr gamma = transcript.challenge("gamma");
-  transcript.absorb_g1(proof.cm_z);
+  transcript.absorb_g1(pa[kZ]);
   const Fr alpha = transcript.challenge("alpha");
-  transcript.absorb_g1(proof.cm_t_lo);
-  transcript.absorb_g1(proof.cm_t_mid);
-  transcript.absorb_g1(proof.cm_t_hi);
+  transcript.absorb_g1(pa[kTLo]);
+  transcript.absorb_g1(pa[kTMid]);
+  transcript.absorb_g1(pa[kTHi]);
   const Fr zeta = transcript.challenge("zeta");
   transcript.absorb_fr(proof.eval_a);
   transcript.absorb_fr(proof.eval_b);
@@ -615,8 +671,8 @@ std::optional<PairingCheck> reduce_to_pairing(
   transcript.absorb_fr(proof.eval_s2);
   transcript.absorb_fr(proof.eval_z_omega);
   const Fr v = transcript.challenge("v");
-  transcript.absorb_g1(proof.w_zeta);
-  transcript.absorb_g1(proof.w_zeta_omega);
+  transcript.absorb_g1(pa[kW]);
+  transcript.absorb_g1(pa[kWOmega]);
   const Fr u = transcript.challenge("u");
 
   const Fr zeta_n = zeta.pow(U256{n});
@@ -668,37 +724,49 @@ std::optional<PairingCheck> reduce_to_pairing(
                       v3 * proof.eval_c + v4 * proof.eval_s1 +
                       v5 * proof.eval_s2 + u * proof.eval_z_omega;
   const Fr zh_neg = -zh_zeta;
-  const std::array<Fr, 18> scalars = {
-      proof.eval_a * proof.eval_b,
-      proof.eval_a,
-      proof.eval_b,
-      proof.eval_c,
-      Fr::one(),
-      alpha * id_prod + alpha2 * l1_zeta + u,
-      -(alpha * beta * sig_ab * proof.eval_z_omega),
-      zh_neg,
-      zh_neg * zeta_n,
-      zh_neg * zeta_n * zeta_n,
-      v,
-      v2,
-      v3,
-      v4,
-      v5,
-      -e_scalar,
-      zeta,
-      u * zeta * omega,
+  const auto term = [&](std::size_t k, const Fr& s) {
+    return Term{s, pts[k], pa[k]};
   };
-  const std::array<G1, 18> points = {
-      vk.cm_qm,      vk.cm_ql,       vk.cm_qr,       vk.cm_qo,
-      vk.cm_qc,      proof.cm_z,     vk.cm_s3,       proof.cm_t_lo,
-      proof.cm_t_mid, proof.cm_t_hi, proof.cm_a,     proof.cm_b,
-      proof.cm_c,    vk.cm_s1,       vk.cm_s2,       G1::generator(),
-      proof.w_zeta,  proof.w_zeta_omega,
+  DeferredCheck d;
+  d.lhs = {term(kW, Fr::one()), term(kWOmega, u)};
+  d.rhs = {
+      term(kQm, proof.eval_a * proof.eval_b),
+      term(kQl, proof.eval_a),
+      term(kQr, proof.eval_b),
+      term(kQo, proof.eval_c),
+      term(kQc, Fr::one()),
+      term(kZ, alpha * id_prod + alpha2 * l1_zeta + u),
+      term(kS3, -(alpha * beta * sig_ab * proof.eval_z_omega)),
+      term(kTLo, zh_neg),
+      term(kTMid, zh_neg * zeta_n),
+      term(kTHi, zh_neg * zeta_n * zeta_n),
+      term(kA, v),
+      term(kB, v2),
+      term(kC, v3),
+      term(kS1, v4),
+      term(kS2, v5),
+      Term{-e_scalar, &generator_base(), generator_base()},
+      term(kW, zeta),
+      term(kWOmega, u * zeta * omega),
   };
-  PairingCheck check;
-  check.lhs = proof.w_zeta + proof.w_zeta_omega.mul(u);
-  check.rhs = ec::msm(scalars, points);
-  return check;
+  d.binding = transcript.state();
+  return d;
+}
+
+// The unfolded check: lhs = W_zeta + u W_zeta_omega, rhs = the 18-term
+// MSM.
+PairingCheck evaluate(const DeferredCheck& d) {
+  PairingCheck c;
+  c.lhs = d.lhs[1].base.to_jacobian().mul(d.lhs[1].scalar);
+  c.lhs += d.lhs[0].base;  // scalar one
+  std::array<Fr, 18> scalars;
+  std::array<ec::G1Affine, 18> bases;
+  for (std::size_t k = 0; k < d.rhs.size(); ++k) {
+    scalars[k] = d.rhs[k].scalar;
+    bases[k] = d.rhs[k].base;
+  }
+  c.rhs = ec::msm(scalars, bases);
+  return c;
 }
 
 }  // namespace
@@ -709,7 +777,9 @@ std::optional<PairingCheck> verify_prepare(
     const VerifyingKey& vk, const std::vector<Fr>& public_inputs,
     const Proof& proof) {
   if (!usable_g2(vk)) return std::nullopt;
-  return reduce_to_pairing(vk, public_inputs, proof);
+  const auto d = defer_check(vk, public_inputs, proof);
+  if (!d) return std::nullopt;
+  return evaluate(*d);
 }
 
 bool verify(const VerifyingKey& vk, const std::vector<Fr>& public_inputs,
@@ -717,8 +787,8 @@ bool verify(const VerifyingKey& vk, const std::vector<Fr>& public_inputs,
   runtime::ScopedTimer verify_timer(runtime::counters::verify_ns);
   const auto g2 = usable_g2(vk);
   if (!g2) return false;
-  const auto check = reduce_to_pairing(vk, public_inputs, proof);
-  return check && pairing_holds(*check, *g2);
+  const auto d = defer_check(vk, public_inputs, proof);
+  return d && pairing_holds(evaluate(*d), *g2);
 }
 
 bool BatchResult::all_ok() const {
@@ -734,61 +804,92 @@ std::size_t BatchResult::invalid_count() const {
   return n;
 }
 
+std::vector<Fr> fold_weights(std::span<const Transcript::State> states,
+                             std::span<const std::size_t> positions) {
+  ZKDET_CHECK(states.size() == positions.size(),
+              "fold_weights: state/position count mismatch");
+  Transcript t("zkdet-batch-verify");
+  t.absorb_u64(positions.size());
+  for (std::size_t k = 0; k < positions.size(); ++k) {
+    t.absorb_u64(positions[k]);
+    t.absorb_bytes(states[k]);
+  }
+  std::vector<Fr> weights;
+  weights.reserve(positions.size());
+  for (std::size_t k = 0; k < positions.size(); ++k) {
+    weights.push_back(t.challenge("batch-r"));
+  }
+  return weights;
+}
+
 namespace {
 
-// One weighted fold over `idx` (indices into `entries`/`checks`), all
-// sharing an SRS: accept iff the random linear combination of the
-// entries' pairing checks passes one 2-pairing product. A fresh
-// transcript is built per call so bisection sub-batches draw
-// independent weights; every entry contributes a challenge-derived
-// weight (no fixed r_0 = 1) bound to its position, statement and proof
-// bytes, so a repeated entry cannot cancel against itself.
-bool fold_check(std::span<const BatchEntry> entries,
-                std::span<const std::optional<PairingCheck>> checks,
-                std::span<const std::size_t> idx) {
-  const auto g2 = usable_g2(*entries[idx.front()].vk);
-  if (!g2) return false;
+// sum_k weights[k] * (the `side` terms of checks[idx[k]]) as one MSM;
+// terms that share a base id are merged into one scalar first.
+template <std::size_t N>
+G1 fold_side(std::span<const std::optional<DeferredCheck>> checks,
+             std::span<const std::size_t> idx, std::span<const Fr> weights,
+             std::array<Term, N> DeferredCheck::*side) {
+  std::vector<Fr> scalars;
+  std::vector<ec::G1Affine> bases;
+  scalars.reserve(N * idx.size());
+  bases.reserve(N * idx.size());
+  std::unordered_map<const void*, std::size_t> slot;
+  for (std::size_t k = 0; k < idx.size(); ++k) {
+    for (const Term& t : (*checks[idx[k]]).*side) {
+      const auto [it, fresh] = slot.try_emplace(t.id, scalars.size());
+      if (fresh) {
+        scalars.push_back(weights[k] * t.scalar);
+        bases.push_back(t.base);
+      } else {
+        scalars[it->second] += weights[k] * t.scalar;
+      }
+    }
+  }
+  return ec::msm(scalars, bases);
+}
+
+// One weighted fold over `idx` (indices into `checks`), all sharing the
+// SRS `g2`: accept iff the random linear combination of the entries'
+// pairing checks passes one 2-pairing product. Each sub-batch draws
+// fresh weights (fold_weights over its own positions and transcript
+// states) and refolds from the stored scalars.
+bool fold_check(std::span<const std::optional<DeferredCheck>> checks,
+                std::span<const std::size_t> idx, const PreparedG2Pair& g2) {
   if (idx.size() == 1) {
     // Degenerate fold: run exactly the pairing check verify() runs, so
     // a batch of one is outcome-identical to individual verification.
-    return pairing_holds(*checks[idx.front()], *g2);
+    return pairing_holds(evaluate(*checks[idx.front()]), g2);
   }
-  Transcript t("zkdet-batch-verify");
-  t.absorb_u64(idx.size());
-  for (const std::size_t i : idx) {
-    t.absorb_u64(i);
-    entries[i].vk->bind_transcript(t);
-    for (const Fr& x : *entries[i].public_inputs) t.absorb_fr(x);
-    t.absorb_bytes(entries[i].proof->to_bytes());
-  }
-  PairingCheck folded{G1::identity(), G1::identity()};
-  for (const std::size_t i : idx) {
-    const Fr r = t.challenge("batch-r");
-    folded.lhs += checks[i]->lhs.mul(r);
-    folded.rhs += checks[i]->rhs.mul(r);
-  }
-  return pairing_holds(folded, *g2);
+  std::vector<Transcript::State> states;
+  states.reserve(idx.size());
+  for (const std::size_t i : idx) states.push_back(checks[i]->binding);
+  const std::vector<Fr> r = fold_weights(states, idx);
+  const PairingCheck folded{fold_side(checks, idx, r, &DeferredCheck::lhs),
+                            fold_side(checks, idx, r, &DeferredCheck::rhs)};
+  return pairing_holds(folded, g2);
 }
 
 }  // namespace
 
 BatchResult batch_verify_attributed(std::span<const BatchEntry> entries) {
+  runtime::ScopedTimer verify_timer(runtime::counters::verify_ns);
   BatchResult out;
   out.ok.assign(entries.size(), 0);
   if (entries.empty()) return out;
 
-  // Per-proof scalar work is independent; prepare in parallel. A
-  // structural failure (wrong public-input count, off-curve point,
-  // non-subgroup G2) is attributed to its entry here instead of
-  // rejecting the whole batch.
-  std::vector<std::optional<PairingCheck>> checks(entries.size());
-  runtime::ThreadPool::instance().parallel_for(
-      entries.size(), 1, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) {
-          checks[i] = verify_prepare(*entries[i].vk, *entries[i].public_inputs,
-                                     *entries[i].proof);
-        }
-      });
+  // Per-entry work is transcript and scalar arithmetic only; the group
+  // work waits for the fold. A structural failure (wrong public-input
+  // count, off-curve point, non-subgroup G2) is attributed to its entry
+  // here instead of rejecting the whole batch.
+  std::vector<std::optional<DeferredCheck>> checks(entries.size());
+  std::vector<std::shared_ptr<const PreparedG2Pair>> g2(entries.size());
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    g2[i] = usable_g2(*entries[i].vk);
+    if (!g2[i]) continue;
+    checks[i] = defer_check(*entries[i].vk, *entries[i].public_inputs,
+                            *entries[i].proof);
+  }
 
   // Group surviving entries by SRS in first-appearance order: the fold
   // is only sound within one (g2_gen, g2_tau) pair, but an entry under
@@ -814,19 +915,22 @@ BatchResult batch_verify_attributed(std::span<const BatchEntry> entries) {
   // one that fails is the (an) offending entry; everything in a passing
   // sub-batch is accepted. Worst case (all forged) this costs 2N-1
   // pairing products — still linear, and only paid under attack.
-  const std::function<void(std::span<const std::size_t>)> attribute =
-      [&](std::span<const std::size_t> idx) {
-        ++out.pairing_checks;
-        if (fold_check(entries, checks, idx)) {
-          for (const std::size_t i : idx) out.ok[i] = 1;
-          return;
-        }
-        if (idx.size() == 1) return;  // attributed invalid (ok stays 0)
-        const std::size_t mid = idx.size() / 2;
-        attribute(idx.first(mid));
-        attribute(idx.subspan(mid));
-      };
-  for (const auto& g : groups) attribute(g);
+  for (const auto& group : groups) {
+    const PreparedG2Pair& group_g2 = *g2[group.front()];
+    const std::function<void(std::span<const std::size_t>)> attribute =
+        [&](std::span<const std::size_t> idx) {
+          ++out.pairing_checks;
+          if (fold_check(checks, idx, group_g2)) {
+            for (const std::size_t i : idx) out.ok[i] = 1;
+            return;
+          }
+          if (idx.size() == 1) return;  // attributed invalid (ok stays 0)
+          const std::size_t mid = idx.size() / 2;
+          attribute(idx.first(mid));
+          attribute(idx.subspan(mid));
+        };
+    attribute(group);
+  }
 
   runtime::counters::batch_verifications.fetch_add(1,
                                                    std::memory_order_relaxed);

@@ -116,8 +116,9 @@ std::optional<Proof> prove(const ProvingKey& pk, const ConstraintSystem& cs,
 bool verify(const VerifyingKey& vk, const std::vector<Fr>& public_inputs,
             const Proof& proof);
 
-// The deferred pairing check a proof reduces to after all transcript and
-// scalar work: accept iff e(lhs, [tau]_2) * e(-rhs, [1]_2) == 1.
+// The pairing check a proof reduces to after all transcript, scalar and
+// MSM work: accept iff e(lhs, [tau]_2) * e(-rhs, [1]_2) == 1, with
+// lhs = W_zeta + u W_zeta_omega and rhs the verifier's 18-term MSM.
 struct PairingCheck {
   G1 lhs, rhs;
 };
@@ -157,14 +158,25 @@ struct BatchResult {
 
 // Attributed batch verification: folds the per-proof pairing checks
 // with Fiat-Shamir-derived random weights into one 2-pairing product
-// per SRS group, and on fold failure bisects (fresh transcript per
+// per SRS group, and on fold failure bisects (fresh weights per
 // sub-batch) until every invalid entry is individually attributed —
-// honest entries in a batch with a forged one still verify. Weights are
-// bound to every statement AND its batch position, so duplicate entries
-// draw distinct weights and cannot cancel. A batch of one skips the
-// fold and runs the exact pairing check verify() runs. A forged proof
-// escapes a fold only with probability ~1/r.
+// honest entries in a batch with a forged one still verify. The fold
+// works on scalars: each entry's check stays a list of (scalar, base)
+// terms, terms over one base (a shared key's commitment, the generator)
+// merge, and each side of the product is ONE MSM. Weights come from
+// fold_weights, so duplicate entries draw distinct weights and cannot
+// cancel. A batch of one skips the fold and runs the exact pairing
+// check verify() runs. A forged proof escapes a fold only with
+// probability ~1/r. Time spent is counted in the verify_ns counter.
 BatchResult batch_verify_attributed(std::span<const BatchEntry> entries);
+
+// The fold weights of a (sub-)batch: weight k belongs to the entry at
+// batch position positions[k] whose verifier transcript ended in
+// states[k]. That state binds the entry's key, public inputs and every
+// proof element; each weight hashes every (position, state) pair of the
+// (sub-)batch. Exposed for tests.
+std::vector<Fr> fold_weights(std::span<const Transcript::State> states,
+                             std::span<const std::size_t> positions);
 
 // Accepts iff every entry verifies (batch_verify_attributed().all_ok()).
 bool batch_verify(std::span<const BatchEntry> entries);

@@ -27,9 +27,10 @@ void Transcript::absorb_fr(const Fr& v) {
   absorb_bytes(ff::u256_to_bytes(v.to_canonical()));
 }
 
-void Transcript::absorb_g1(const G1& p) {
-  const auto bytes = ec::g1_to_bytes(p);
-  absorb_bytes(bytes);
+void Transcript::absorb_g1(const G1& p) { absorb_bytes(ec::g1_to_bytes(p)); }
+
+void Transcript::absorb_g1(const ec::G1Affine& p) {
+  absorb_bytes(ec::g1_to_bytes(p));
 }
 
 Fr Transcript::challenge(std::string_view label) {

@@ -26,13 +26,19 @@ class Transcript {
   void absorb_u64(std::uint64_t v);
   void absorb_fr(const Fr& v);
   void absorb_g1(const G1& p);
+  // The same bytes as absorb_g1(p.to_jacobian()), without the inversion.
+  void absorb_g1(const ec::G1Affine& p);
 
   // Deterministic challenge bound to everything absorbed so far; the
   // label also separates multiple challenges squeezed back to back.
   [[nodiscard]] Fr challenge(std::string_view label);
 
+  using State = std::array<std::uint8_t, 32>;
+  // The chained digest of everything absorbed and squeezed so far.
+  [[nodiscard]] const State& state() const { return state_; }
+
  private:
-  std::array<std::uint8_t, 32> state_{};
+  State state_{};
 };
 
 }  // namespace zkdet::plonk

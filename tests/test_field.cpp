@@ -408,6 +408,23 @@ TEST(BatchInverse, MatchesElementwiseInverse) {
   }
 }
 
+TEST(BatchInverse, CallerScratchIsReusedAcrossCalls) {
+  // One scratch buffer, larger than any call and holding the previous
+  // call's prefixes, serves calls of several sizes.
+  std::mt19937_64 rng(97);
+  std::vector<Fr> scratch(64, Fr::from_u64(5));
+  for (const std::size_t n : {64u, 3u, 17u, 0u, 1u}) {
+    std::vector<Fr> xs(n);
+    for (auto& x : xs) x = random_field<Fr>(rng);
+    if (n > 2) xs[1] = Fr::zero();
+    std::vector<Fr> inv = xs;
+    batch_inverse(std::span<Fr>(inv), std::span<Fr>(scratch));
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(inv[i], xs[i].inverse()) << "n=" << n << " i=" << i;
+    }
+  }
+}
+
 TEST(BatchInverse, WorksOverFp2) {
   std::mt19937_64 rng(98);
   std::vector<Fp2> xs(9);

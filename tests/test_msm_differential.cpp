@@ -16,6 +16,7 @@
 
 #include "ec/glv.hpp"
 #include "ec/msm.hpp"
+#include "runtime/thread_pool.hpp"
 
 namespace zkdet::ec {
 namespace {
@@ -229,6 +230,35 @@ TEST(MsmDifferential, G1AllMaxScalarsBatchAffine) {
     exponent -= x;
   }
   EXPECT_EQ(msm(scalars, points), g1_mul_generator(exponent));
+}
+
+// Every full-width window of a commitment-size MSM runs batch-affine
+// buckets whose batch inversions keep their prefix products in one
+// scratch buffer per run of windows. On a 1-thread pool one buffer
+// serves every window in turn, carrying stale prefixes from the window
+// before; on the shared pool each chunk of windows has its own. Both
+// must match the sum computed in the exponent.
+TEST(MsmDifferential, G1BatchAffineWindowsShareOneScratch) {
+  constexpr std::size_t n = 600;
+  ASSERT_GE(g1_buckets(n), 256u);  // batch-affine windows
+  std::mt19937_64 rng(11);
+  std::vector<Fr> scalars(n);
+  std::vector<G1> points(n);
+  Fr exponent = Fr::zero();
+  for (std::size_t i = 0; i < n; ++i) {
+    scalars[i] = random_field<Fr>(rng);
+    const Fr x = random_field<Fr>(rng);
+    points[i] = g1_mul_generator(x);
+    exponent += scalars[i] * x;
+  }
+  const G1 expected = g1_mul_generator(exponent);
+  auto& pool = runtime::ThreadPool::instance();
+  const std::size_t width = pool.concurrency();
+  pool.configure(1);
+  const G1 serial = msm(scalars, points);
+  pool.configure(width);
+  EXPECT_EQ(serial, expected);
+  EXPECT_EQ(msm(scalars, points), expected);
 }
 
 TEST(MsmDifferential, EmptyInputIsIdentity) {

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
+
 #include "plonk/plonk.hpp"
 
 #include "core/circuits.hpp"
 #include "crypto/sha256.hpp"
 #include "ec/pairing.hpp"
+#include "runtime/stats.hpp"
 #include "runtime/thread_pool.hpp"
 
 namespace zkdet::plonk {
@@ -414,6 +417,84 @@ TEST_F(PlonkFixture, BatchDuplicateEntriesCannotMaskAThirdInvalid) {
     EXPECT_EQ(r.ok[2], 1u);
     EXPECT_EQ(r.invalid_count(), 2u);
   }
+}
+
+TEST_F(PlonkFixture, BatchSharedKeyMergesBasesAndRejectsAForgery) {
+  // Three statements under ONE key object: the fold merges their eight
+  // key commitments (and the generator) into one scalar per base. The
+  // honest fold still passes in one product; a forged evaluation or a
+  // forged proof point at any position is caught and attributed.
+  std::vector<ProvedCubic> good;
+  good.reserve(3);
+  for (std::uint64_t w = 7; w <= 9; ++w) good.emplace_back(w, srs(), 700 + w);
+  std::vector<BatchEntry> honest;
+  for (const auto& g : good) honest.push_back(g.entry());
+  // One key shared by value would not merge; point every entry at one.
+  for (auto& e : honest) e.vk = &good[0].keys.vk;
+  const BatchResult hr = batch_verify_attributed(honest);
+  EXPECT_TRUE(hr.all_ok());
+  EXPECT_EQ(hr.pairing_checks, 1u);
+
+  for (std::size_t bad_at = 0; bad_at < good.size(); ++bad_at) {
+    for (int forgery = 0; forgery < 2; ++forgery) {
+      Proof bad = good[bad_at].proof;
+      if (forgery == 0) {
+        bad.eval_c += Fr::one();
+      } else {
+        bad.cm_t_lo += G1::generator();
+      }
+      std::vector<BatchEntry> entries = honest;
+      entries[bad_at].proof = &bad;
+      const BatchResult r = batch_verify_attributed(entries);
+      for (std::size_t i = 0; i < entries.size(); ++i) {
+        EXPECT_EQ(r.ok[i] != 0, i != bad_at)
+            << "bad_at=" << bad_at << " forgery=" << forgery;
+        EXPECT_EQ(r.ok[i] != 0, verify(*entries[i].vk, *entries[i].public_inputs,
+                                       *entries[i].proof));
+      }
+    }
+  }
+}
+
+TEST_F(PlonkFixture, FoldWeightsAreDistinctForDuplicateEntries) {
+  const ProvedCubic a(3, srs(), 801);
+  Transcript t("zkdet-plonk");
+  a.keys.vk.bind_transcript(t);
+  const Transcript::State s = t.state();
+  const Transcript::State other = Transcript("other").state();
+
+  // The same statement at two positions draws two weights.
+  const std::vector<Transcript::State> dup = {s, s};
+  const std::vector<std::size_t> pos = {0, 1};
+  const std::vector<Fr> w = fold_weights(dup, pos);
+  ASSERT_EQ(w.size(), 2u);
+  EXPECT_NE(w[0], w[1]);
+  EXPECT_FALSE(w[0].is_zero());
+  EXPECT_EQ(fold_weights(dup, pos), w);  // deterministic
+
+  // Every weight depends on every (position, state) of the batch.
+  const std::vector<Transcript::State> mixed = {s, other};
+  EXPECT_NE(fold_weights(mixed, pos)[0], w[0]);
+  const std::vector<std::size_t> moved = {0, 2};
+  EXPECT_NE(fold_weights(dup, moved)[0], w[0]);
+}
+
+TEST_F(PlonkFixture, BatchOfOneCountsVerifyTimeOnce) {
+  // batch_verify_attributed times itself into verify_ns, as verify()
+  // does; a batch of one must not also go through verify()'s timer.
+  const ProvedCubic a(3, srs(), 901);
+  const BatchEntry e = a.entry();
+  const auto before = runtime::stats();
+  const auto t0 = std::chrono::steady_clock::now();
+  const BatchResult r = batch_verify_attributed({&e, 1});
+  const auto wall = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count();
+  const auto after = runtime::stats();
+  EXPECT_TRUE(r.all_ok());
+  const std::uint64_t counted = after.verify_ns - before.verify_ns;
+  EXPECT_GT(counted, 0u);
+  EXPECT_LE(counted, static_cast<std::uint64_t>(wall));
 }
 
 TEST(ConstraintSystem, SatisfiabilityChecks) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/exchange.hpp"
+#include "runtime/thread_pool.hpp"
 
 namespace zkdet::core {
 namespace {
@@ -211,6 +212,129 @@ TEST_F(ProtocolFixture, StorageTamperBreaksVerification) {
 TEST_F(ProtocolFixture, UnpublishedTokenFailsVerification) {
   EXPECT_FALSE(tp().verify_encryption(999999));
   EXPECT_FALSE(tp().verify_provenance_chain(999999));
+}
+
+// The registry is untrusted: a forger can rewrite any filed proof. The
+// records are non-const map entries, so tests forge them in place.
+plonk::Proof& filed_proof(const TransformationProtocol& t, std::uint64_t id,
+                          bool encryption) {
+  if (encryption) {
+    return const_cast<EncryptionRecord*>(t.encryption_record(id))->proof;
+  }
+  return const_cast<TransformRecord*>(t.transform_record(id))->proof;
+}
+
+TEST_F(ProtocolFixture, ChainFoldVerdictMatchesPerProofVerdicts) {
+  // Random chains of depth 1, 2 and 3 over datasets of 2 or 4 entries.
+  // With each pi_e and pi_t of a chain forged in turn, the folded chain
+  // verdict must equal the AND of the per-proof verdicts, and the
+  // attribution must name the first token whose own check fails.
+  TransformationProtocol local(sys());
+  Drbg pick(4242);
+  for (std::size_t depth = 1; depth <= 3; ++depth) {
+    const std::uint64_t base = 5000 + 100 * depth;
+    const auto side = local.publish(alice, make_data(2, base));
+    std::optional<OwnedAsset> cur = local.publish(alice, make_data(2, base + 50));
+    ASSERT_TRUE(side && cur);
+    for (std::size_t step = 0; step < depth; ++step) {
+      const bool first_op = pick() % 2 == 0;
+      if (first_op) {
+        cur = local.duplicate(alice, *cur);
+      } else if (cur->plain.size() == 2) {
+        const std::vector<OwnedAsset> srcs{*cur, *side};
+        cur = local.aggregate(alice, srcs);
+      } else {
+        const auto parts = local.partition(alice, *cur, {2, 2});
+        ASSERT_TRUE(parts);
+        cur = parts->at(pick() % 2);
+      }
+      ASSERT_TRUE(cur);
+    }
+    const std::uint64_t target = cur->token_id;
+    EXPECT_TRUE(local.verify_provenance_chain(target));
+    EXPECT_EQ(local.first_invalid_in_chain(target), std::nullopt);
+
+    std::vector<std::uint64_t> all = sys().nft().provenance(target);
+    all.push_back(target);
+    // Every proof of the chain: (token, pi_e or pi_t).
+    std::vector<std::pair<std::uint64_t, bool>> proofs;
+    for (const std::uint64_t t : all) {
+      proofs.emplace_back(t, true);
+      if (local.transform_record(t) != nullptr) proofs.emplace_back(t, false);
+    }
+    for (const auto& [token, encryption] : proofs) {
+      plonk::Proof& filed = filed_proof(local, token, encryption);
+      const plonk::Proof honest = filed;
+      filed.eval_a += Fr::one();
+      bool all_ok = true;
+      std::optional<std::uint64_t> first_bad;
+      for (const std::uint64_t t : all) {
+        const bool ok =
+            local.verify_encryption(t) && local.verify_transformation(t);
+        all_ok = all_ok && ok;
+        if (!ok && !first_bad) first_bad = t;
+      }
+      EXPECT_FALSE(all_ok);
+      EXPECT_EQ(first_bad, token);
+      EXPECT_EQ(local.verify_provenance_chain(target), all_ok)
+          << "depth " << depth << " token " << token;
+      EXPECT_EQ(local.first_invalid_in_chain(target), first_bad)
+          << "depth " << depth << " token " << token;
+      filed = honest;
+    }
+    // Two forgeries at once: the earlier token is named.
+    if (proofs.front().first != proofs.back().first) {
+      plonk::Proof& early = filed_proof(local, proofs.front().first, true);
+      plonk::Proof& late =
+          filed_proof(local, proofs.back().first, proofs.back().second);
+      const plonk::Proof early_honest = early;
+      const plonk::Proof late_honest = late;
+      early.eval_b += Fr::one();
+      late.eval_b += Fr::one();
+      EXPECT_EQ(local.first_invalid_in_chain(target), proofs.front().first);
+      early = early_honest;
+      late = late_honest;
+    }
+    EXPECT_TRUE(local.verify_provenance_chain(target));
+  }
+}
+
+TEST_F(ProtocolFixture, ChainAttributionNamesUnmintedAndUnreadableTokens) {
+  EXPECT_EQ(tp().first_invalid_in_chain(888888), 888888u);
+  // An unreadable ancestor ciphertext fails without a pairing and is
+  // named even though every later proof verifies.
+  auto src = tp().publish(alice, make_data(2, 1200));
+  ASSERT_TRUE(src);
+  auto dup = tp().duplicate(alice, *src);
+  ASSERT_TRUE(dup);
+  EXPECT_EQ(tp().first_invalid_in_chain(dup->token_id), std::nullopt);
+  const auto* rec = tp().encryption_record(src->token_id);
+  for (std::size_t i = 0; i < sys().storage().num_nodes(); ++i) {
+    sys().storage().node(i).corrupt(rec->data_cid);
+  }
+  EXPECT_EQ(tp().first_invalid_in_chain(dup->token_id), src->token_id);
+  EXPECT_FALSE(tp().verify_provenance_chain(dup->token_id));
+}
+
+TEST_F(ProtocolFixture, ConcurrentAuditorsVerifyChains) {
+  // The audit workload's shape: four pool threads verify provenance
+  // chains at the same time, each starting at a different target.
+  auto src = tp().publish(alice, make_data(2, 1300));
+  ASSERT_TRUE(src);
+  auto dup = tp().duplicate(alice, *src);
+  ASSERT_TRUE(dup);
+  const std::vector<std::uint64_t> targets = {src->token_id, dup->token_id};
+  const auto verdicts =
+      runtime::ThreadPool::instance().parallel_map<std::uint8_t>(
+          4, [&](std::size_t auditor) {
+            bool ok = true;
+            for (std::size_t k = 0; k < 2 * targets.size(); ++k) {
+              const std::uint64_t id = targets[(auditor + k) % targets.size()];
+              ok = tp().verify_provenance_chain(id) && ok;
+            }
+            return static_cast<std::uint8_t>(ok ? 1 : 0);
+          });
+  for (const std::uint8_t v : verdicts) EXPECT_EQ(v, 1u);
 }
 
 // --- key-secure exchange ---
