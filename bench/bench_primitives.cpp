@@ -327,7 +327,7 @@ double time_best(Fn&& fn, int reps) {
 }
 
 // Signed-digit windows over a pre-normalized affine table, matching how
-// Srs::commit() consumes g1_powers_affine(). The first n terms must sum
+// Srs::commit() reads the affine g1_powers. The first n terms must sum
 // to the sum of their two halves, each half an MSM of its own.
 template <typename Aff, typename AffMsm>
 MsmRow sweep_one(const char* group, std::size_t n,

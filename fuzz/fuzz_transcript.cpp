@@ -9,6 +9,7 @@
 #include <span>
 #include <vector>
 
+#include "check/invariants.hpp"
 #include "ec/curve.hpp"
 #include "plonk/plonk.hpp"
 #include "plonk/transcript.hpp"
@@ -61,12 +62,22 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
       break;
     }
     case 1: {
-      // Proof decoding: reject or round-trip byte-identically.
+      // Proof decoding: reject, or accept only on-curve points and
+      // round-trip byte-identically and by value.
       std::vector<std::uint8_t> buf(data, data + size);
       buf.resize(plonk::Proof::size_bytes(), 0);
       const auto proof = plonk::Proof::from_bytes(buf);
       if (proof.has_value()) {
-        if (proof->to_bytes() != buf) __builtin_trap();
+        for (const ec::G1Affine* p :
+             {&proof->cm_a, &proof->cm_b, &proof->cm_c, &proof->cm_z,
+              &proof->cm_t_lo, &proof->cm_t_mid, &proof->cm_t_hi,
+              &proof->w_zeta, &proof->w_zeta_omega}) {
+          if (!check::in_g1(*p)) __builtin_trap();
+        }
+        const auto bytes = proof->to_bytes();
+        if (bytes != buf) __builtin_trap();
+        const auto again = plonk::Proof::from_bytes(bytes);
+        if (!again.has_value() || !(*again == *proof)) __builtin_trap();
       }
       break;
     }

@@ -31,9 +31,9 @@
 #   --quick      lint + analysis + tier-1 + bench smokes (MSM sweep,
 #                chain pipeline, replication, RPC) + a disjoint failover
 #                matrix slice + the e2ebench smoke test + the concurrent
-#                provenance-audit test under TSan (pre-push sanity;
-#                minutes, not hours; analysis is compile-only so it
-#                stays in quick)
+#                provenance-audit and 32-prover tests under TSan
+#                (pre-push sanity; minutes, not hours; analysis is
+#                compile-only so it stays in quick)
 #   --skip-tsan  everything except the TSan stages (they are the slowest)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -119,14 +119,18 @@ if [[ "$QUICK" == "1" ]]; then
   if [[ "$SKIP_TSAN" == "1" ]]; then
     echo "=== tsan: concurrent provenance audits skipped (--skip-tsan) ==="
   else
-    echo "=== tsan: concurrent provenance audits (quick) ==="
+    echo "=== tsan: concurrent provenance audits and provers (quick) ==="
     # Four pool threads verify provenance chains at once, the e2ebench
     # audit shape: statement rebuild, key lookup and the chain fold
-    # must be race-free. The full TSan stage runs the whole suite.
+    # must be race-free. 32 concurrent provers share one Srs, which they
+    # read without a lock: it must be immutable after setup. The full
+    # TSan stage runs the whole suite.
     cmake -B build-tsan -S . -DZKDET_SANITIZE=thread
-    cmake --build build-tsan -j --target zkdet_core_tests
+    cmake --build build-tsan -j --target zkdet_core_tests zkdet_runtime_tests
     ./build-tsan/tests/zkdet_core_tests \
       --gtest_filter='ProtocolFixture.ConcurrentAuditorsVerifyChains'
+    ./build-tsan/tests/zkdet_runtime_tests \
+      --gtest_filter='RuntimeTest.StressThirtyTwoConcurrentJobs'
   fi
   echo "=== quick mode: remaining stages skipped ==="
   echo "=== CI OK (quick) ==="

@@ -7,7 +7,7 @@
 // before execution (stage 2½), and the verifier contract consumes the
 // per-tx verdict instead of re-running the pairing, charging each valid
 // claim an equal share of the shared pairing cost. A claim that does
-// not byte-match what the closure actually verifies is simply ignored
+// not match what the closure actually verifies is simply ignored
 // (the contract falls back to full inline verification at full price),
 // so a lying claim buys nothing.
 #pragma once

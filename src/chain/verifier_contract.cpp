@@ -33,16 +33,16 @@ bool PlonkVerifierContract::verify(CallContext& ctx,
 
   const std::uint64_t pairing_gas = g.pairing_base + 2 * g.pairing_per_pair;
 
-  // Batched settlement: if this tx carried a ProofClaim and it byte-
-  // matches what we were just asked to verify, the batch stage already
-  // folded this entry's pairing check — consume its attributed verdict
-  // instead of re-running the pairing. The match is exact (vk identity,
-  // statement equality, proof bytes), so a claim that diverges from the
-  // closure's actual call falls through to full inline verification.
+  // Batched settlement: if this tx carried a ProofClaim and it matches
+  // what we were just asked to verify, the batch stage already folded
+  // this entry's pairing check — consume its attributed verdict instead
+  // of re-running the pairing. The match is exact (vk identity,
+  // statement equality, proof equality by value), so a claim that
+  // diverges from the closure's actual call falls through to full
+  // inline verification.
   const ClaimVerdict* v = ctx.claim_verdict();
   if (v != nullptr && v->claim != nullptr && v->claim->vk == &vk_ &&
-      v->claim->public_inputs == public_inputs &&
-      v->claim->proof.to_bytes() == proof.to_bytes()) {
+      v->claim->public_inputs == public_inputs && v->claim->proof == proof) {
     if (v->valid && v->batch_claims > 1) {
       // Gas-split rule: each valid claim pays 2 G1 muls (weighting its
       // check into the fold) plus an equal (ceil) share of the single

@@ -60,6 +60,7 @@ template <typename F>
 // BN-254 G1 has cofactor 1: every point on E(Fp) is in the r-torsion,
 // so on-curve is the whole subgroup check.
 [[nodiscard]] inline bool in_g1(const ec::G1& p) { return p.on_curve(); }
+[[nodiscard]] inline bool in_g1(const ec::G1Affine& p) { return p.on_curve(); }
 
 // E'(Fp2) has a large cofactor; a point can sit on the twist yet outside
 // the order-r subgroup, which breaks pairing bilinearity. Full check:

@@ -36,7 +36,6 @@
 //                                            its fail-points can fire
 //                                            (-> kFault) under it
 //   StorageNetwork (kStorage)                repair/quarantine paths
-//   SRS affine cache (kSrsCache)             lazy batch normalization
 //   ProverService cache (kProverCache)       one key map, ready and
 //                                            in-flight entries; taken on
 //                                            every key lookup, never held
@@ -71,7 +70,6 @@ enum class LockLevel : std::uint16_t {
   kLedger = 30,        // ledger::Ledger io_mu_ (WAL writer + snapshot)
   kReplLink = 35,      // replication::InMemoryLink mu_ (datagram queues)
   kStorage = 40,       // storage::StorageNetwork m_
-  kSrsCache = 45,      // plonk::Srs affine-table publication
   kProverCache = 50,   // runtime::ProverService m_ (key map)
   kPoolQueue = 60,     // runtime thread-pool per-worker deques
   kPoolSleep = 62,     // runtime thread-pool sleep/wake latch
@@ -92,7 +90,6 @@ constexpr const char* lock_level_name(LockLevel level) {
     case LockLevel::kLedger: return "Ledger";
     case LockLevel::kReplLink: return "ReplLink";
     case LockLevel::kStorage: return "Storage";
-    case LockLevel::kSrsCache: return "SrsCache";
     case LockLevel::kProverCache: return "ProverCache";
     case LockLevel::kPoolQueue: return "PoolQueue";
     case LockLevel::kPoolSleep: return "PoolSleep";

@@ -63,10 +63,7 @@ std::vector<std::uint8_t> g1_to_bytes(const G1Affine& p) {
 }
 
 std::vector<std::uint8_t> g1_to_bytes(const G1& p) {
-  if (p.is_identity()) return g1_to_bytes(G1Affine::identity());
-  Fp x, y;
-  p.to_affine(x, y);
-  return g1_to_bytes(G1Affine{x, y});
+  return g1_to_bytes(G1Affine::from_jacobian(p));
 }
 
 namespace {
@@ -83,16 +80,16 @@ std::optional<Fp> fp_from_slice(std::span<const std::uint8_t> bytes,
 
 }  // namespace
 
-std::optional<G1> g1_from_bytes(std::span<const std::uint8_t> bytes) {
+std::optional<G1Affine> g1_from_bytes(std::span<const std::uint8_t> bytes) {
   if (bytes.size() != 64) return std::nullopt;
   if (std::all_of(bytes.begin(), bytes.end(),
                   [](std::uint8_t b) { return b == 0; })) {
-    return G1::identity();
+    return G1Affine::identity();
   }
   const auto x = fp_from_slice(bytes, 0);
   const auto y = fp_from_slice(bytes, 32);
   if (!x || !y) return std::nullopt;
-  const G1 p = G1::from_affine(*x, *y);
+  const G1Affine p{*x, *y};
   if (!p.on_curve()) return std::nullopt;
   return p;
 }
@@ -118,17 +115,16 @@ std::optional<G2> g2_from_bytes(std::span<const std::uint8_t> bytes) {
 
 std::vector<std::uint8_t> g2_to_bytes(const G2& p) {
   std::vector<std::uint8_t> out(128, 0);
-  if (p.is_identity()) return out;
-  Fp2 x, y;
-  p.to_affine(x, y);
+  const G2Affine a = G2Affine::from_jacobian(p);
+  if (a.is_identity()) return out;
   const auto put = [&out](std::size_t off, const Fp& v) {
     const auto b = ff::u256_to_bytes(v.to_canonical());
     std::copy(b.begin(), b.end(), out.begin() + static_cast<std::ptrdiff_t>(off));
   };
-  put(0, x.a);
-  put(32, x.b);
-  put(64, y.a);
-  put(96, y.b);
+  put(0, a.x.a);
+  put(32, a.x.b);
+  put(64, a.y.a);
+  put(96, a.y.b);
   return out;
 }
 

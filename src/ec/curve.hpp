@@ -7,13 +7,16 @@
 //   Point<Traits>        Jacobian (X/Z^2, Y/Z^3) — the working form for
 //                        chained group operations (no inversions).
 //   AffinePoint<Traits>  (x, y) plus an infinity flag — the storage form
-//                        for precomputed bases (SRS powers, fixed-base
-//                        tables). Mixed addition Point += AffinePoint is
-//                        ~11 field muls vs ~16 for Jacobian+Jacobian,
-//                        and negation is free, which is what makes the
-//                        signed-digit affine-base MSM in msm.cpp pay.
+//                        for every point that is made once and then only
+//                        read (SRS powers, fixed-base tables, key
+//                        commitments, proof points). Mixed addition
+//                        Point += AffinePoint is ~11 field muls vs ~16
+//                        for Jacobian+Jacobian, and negation is free,
+//                        which is what makes the signed-digit
+//                        affine-base MSM in msm.cpp pay.
 // batch_normalize converts a whole vector Jacobian -> affine with a
-// single field inversion (Montgomery's prefix-product trick).
+// single field inversion (Montgomery's prefix-product trick);
+// AffinePoint::from_jacobian converts one point, identity included.
 //
 // Traits contract:
 //   using Field = ...;
@@ -296,9 +299,22 @@ struct AffinePoint {
 
   [[nodiscard]] bool is_identity() const { return infinity; }
 
+  // One field inversion; the identity maps to the affine identity.
+  [[nodiscard]] static AffinePoint from_jacobian(const Point<Traits>& p) {
+    if (p.is_identity()) return identity();
+    AffinePoint a;
+    p.to_affine(a.x, a.y);
+    a.infinity = false;
+    return a;
+  }
+
   [[nodiscard]] Point<Traits> to_jacobian() const {
     if (infinity) return Point<Traits>::identity();
     return Point<Traits>::from_affine(x, y);
+  }
+
+  [[nodiscard]] bool on_curve() const {
+    return infinity || y.square() == x.square() * x + Traits::b();
   }
 
   [[nodiscard]] AffinePoint operator-() const {
@@ -371,8 +387,9 @@ std::vector<std::uint8_t> g1_to_bytes(const G1Affine& p);
 std::vector<std::uint8_t> g2_to_bytes(const G2& p);
 
 // Deserialization; rejects (nullopt) malformed encodings and points
-// that are not on the curve.
-std::optional<G1> g1_from_bytes(std::span<const std::uint8_t> bytes);
+// that are not on the curve. G1 decodes to affine: the encoding is the
+// affine coordinates, so no inversion is paid.
+std::optional<G1Affine> g1_from_bytes(std::span<const std::uint8_t> bytes);
 std::optional<G2> g2_from_bytes(std::span<const std::uint8_t> bytes);
 
 }  // namespace zkdet::ec

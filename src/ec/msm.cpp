@@ -41,17 +41,6 @@ constexpr std::uint64_t kJacobianAddMuls = 16;
 constexpr std::uint64_t kAffineAddMuls = 6;
 constexpr std::uint64_t kInverseMuls = 380;
 
-template <typename Point>
-Point msm_naive_impl(std::span<const Fr> scalars, std::span<const Point> points) {
-  ZKDET_CHECK(scalars.size() == points.size(),
-              "msm: scalar/point count mismatch");
-  Point acc = Point::identity();
-  for (std::size_t i = 0; i < scalars.size(); ++i) {
-    acc += points[i].mul(scalars[i]);
-  }
-  return acc;
-}
-
 // c bits of k starting at bit `off` (off < 256; bits past 255 read 0).
 std::uint64_t window_bits(const U256& k, std::size_t off, std::size_t c) {
   const std::size_t limb = off / 64;
@@ -278,9 +267,12 @@ Point<typename Bases::Traits> window_sum_batch_affine(
 // the digits of every scalar (signed_digits' layout). Full-width windows
 // with kBatchAffineMinBuckets buckets or more accumulate in batch-affine
 // buckets; small inputs and the top window, whose few live buckets would
-// make nearly every base wait, keep mixed-add Jacobian buckets.
+// make nearly every base wait, keep mixed-add Jacobian buckets. `terms`
+// is the caller's term count, which decides whether the windows go to
+// the pool; GLV hands the engine twice as many bases.
 template <typename Bases, typename WriteDigits>
-Point<typename Bases::Traits> pippenger(const Bases& bases, std::size_t bits,
+Point<typename Bases::Traits> pippenger(const Bases& bases, std::size_t terms,
+                                        std::size_t bits,
                                         WriteDigits&& write_digits) {
   using P = Point<typename Bases::Traits>;
   const std::size_t n = bases.size();
@@ -309,7 +301,7 @@ Point<typename Bases::Traits> pippenger(const Bases& bases, std::size_t bits,
   // Windows are independent; large inputs share the process-wide pool
   // (one chunk per window) instead of spawning threads per call.
   auto& pool = runtime::ThreadPool::instance();
-  if (n < kMsmParallelThreshold || pool.concurrency() <= 1) {
+  if (terms < kMsmParallelThreshold || pool.concurrency() <= 1) {
     process_windows(0, num_windows);
   } else {
     pool.parallel_for(num_windows, 1, process_windows);
@@ -349,7 +341,7 @@ Point<Traits> msm_affine_impl(std::span<const Fr> scalars,
     GlvBases bases{points, std::vector<ff::Fp>(n)};
     const ff::Fp& beta = glv_beta();
     for (std::size_t i = 0; i < n; ++i) bases.beta_x[i] = beta * points[i].x;
-    return pippenger(bases, kGlvScalarBits,
+    return pippenger(bases, n, kGlvScalarBits,
                      [&](std::size_t c, std::size_t num_windows,
                          std::int32_t* out) {
                        for (std::size_t i = 0; i < n; ++i) {
@@ -361,7 +353,7 @@ Point<Traits> msm_affine_impl(std::span<const Fr> scalars,
                        }
                      });
   } else {
-    return pippenger(AffineBases<Traits>{points}, kScalarBits,
+    return pippenger(AffineBases<Traits>{points}, n, kScalarBits,
                      [&](std::size_t c, std::size_t num_windows,
                          std::int32_t* out) {
                        for (std::size_t i = 0; i < n; ++i) {
@@ -456,23 +448,8 @@ std::size_t msm_window_size(std::size_t n, std::size_t point_bytes,
   return best;
 }
 
-G1 msm_naive(std::span<const Fr> scalars, std::span<const G1> points) {
-  return msm_naive_impl(scalars, points);
-}
-
-G2 msm_naive_g2(std::span<const Fr> scalars, std::span<const G2> points) {
-  return msm_naive_impl(scalars, points);
-}
-
 G1 msm(std::span<const Fr> scalars, std::span<const G1> points) {
-  ZKDET_CHECK(scalars.size() == points.size(),
-              "msm: scalar/point count mismatch");
-  if (points.size() < kMsmNaiveThreshold) {
-    return msm_naive_impl(scalars, points);
-  }
-  const auto affine = batch_normalize(points);
-  return msm_affine_impl<G1Traits>(scalars,
-                                   std::span<const G1Affine>(affine));
+  return msm(scalars, batch_normalize(points));
 }
 
 G1 msm(std::span<const Fr> scalars, std::span<const G1Affine> points) {
@@ -480,14 +457,7 @@ G1 msm(std::span<const Fr> scalars, std::span<const G1Affine> points) {
 }
 
 G2 msm_g2(std::span<const Fr> scalars, std::span<const G2> points) {
-  ZKDET_CHECK(scalars.size() == points.size(),
-              "msm: scalar/point count mismatch");
-  if (points.size() < kMsmNaiveThreshold) {
-    return msm_naive_impl(scalars, points);
-  }
-  const auto affine = batch_normalize(points);
-  return msm_affine_impl<G2Traits>(scalars,
-                                   std::span<const G2Affine>(affine));
+  return msm_g2(scalars, batch_normalize(points));
 }
 
 G2 msm_g2(std::span<const Fr> scalars, std::span<const G2Affine> points) {

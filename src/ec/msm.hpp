@@ -18,10 +18,10 @@
 // The window model prices both kinds. G1 MSMs split every scalar by GLV
 // (ec/glv.hpp) and hand the engine 2n bases with 128-bit scalars; G2
 // MSMs keep the full 254-bit scalars.
-// Windows are distributed over the shared runtime::ThreadPool above a
-// size threshold (each window is independent; only the final
-// Horner-style combine is sequential). Small inputs run serially — task
-// dispatch would dominate.
+// Windows are distributed over the shared runtime::ThreadPool from 256
+// caller terms up (each window is independent; only the final
+// Horner-style combine is sequential). Smaller inputs run serially on
+// the calling thread — task dispatch would dominate.
 #pragma once
 
 #include <span>
@@ -48,17 +48,16 @@ inline constexpr std::size_t kScalarBits = 254;
 std::size_t msm_window_size(std::size_t n, std::size_t point_bytes,
                             std::size_t scalar_bits = kScalarBits);
 
-// sum_i scalars[i] * points[i]; sizes must match. The Jacobian-input
-// overloads batch-normalize once and run the affine path; callers with
-// long-lived bases should normalize once themselves (cf. plonk::Srs).
+// sum_i scalars[i] * points[i]; sizes must match. The affine overloads
+// are the one implementation; below 8 terms it is plain double-and-add,
+// above it the bucket method. The Jacobian-input overloads
+// batch-normalize (one inversion) and call it. Long-lived bases are
+// stored affine (cf. plonk::Srs::g1_powers). The naive reference the
+// tests check against lives in tests/oracles/msm.hpp.
 G1 msm(std::span<const Fr> scalars, std::span<const G1> points);
 G1 msm(std::span<const Fr> scalars, std::span<const G1Affine> points);
 G2 msm_g2(std::span<const Fr> scalars, std::span<const G2> points);
 G2 msm_g2(std::span<const Fr> scalars, std::span<const G2Affine> points);
-
-// Naive double-and-add references (used by tests to cross-check).
-G1 msm_naive(std::span<const Fr> scalars, std::span<const G1> points);
-G2 msm_naive_g2(std::span<const Fr> scalars, std::span<const G2> points);
 
 // Windowed fixed-base multiplication of the group generator (affine
 // tables are built once per process); used by SRS generation and

@@ -119,7 +119,7 @@ crypto::G1 Reader::g1() {
   const auto s = take(len);
   const auto p = ec::g1_from_bytes(s);
   if (!p) throw CodecError("invalid curve point");
-  return *p;
+  return p->to_jacobian();
 }
 
 void Reader::check_count(std::uint64_t count,

@@ -58,36 +58,12 @@ Layout build_layout(const ConstraintSystem& cs, std::size_t n) {
   return l;
 }
 
-// The key's eight commitments in transcript order.
-std::array<const G1*, 8> key_commitments(const VerifyingKey& vk) {
-  return {&vk.cm_qm, &vk.cm_ql, &vk.cm_qr, &vk.cm_qo,
-          &vk.cm_qc, &vk.cm_s1, &vk.cm_s2, &vk.cm_s3};
-}
-
-// Affine forms of `points`, for one field inversion in all.
-template <std::size_t N>
-std::vector<ec::G1Affine> normalize(const std::array<const G1*, N>& points) {
-  std::array<G1, N> jac;
-  for (std::size_t i = 0; i < N; ++i) jac[i] = *points[i];
-  return ec::batch_normalize(std::span<const G1>(jac));
-}
-
-// VerifyingKey::bind_transcript with the commitments already affine.
-void bind_key(Transcript& t, const VerifyingKey& vk,
-              std::span<const ec::G1Affine> commitments) {
-  t.absorb_u64(vk.n);
-  t.absorb_u64(vk.ell);
-  t.absorb_fr(vk.k1);
-  t.absorb_fr(vk.k2);
-  for (const ec::G1Affine& cm : commitments) t.absorb_g1(cm);
-}
-
 }  // namespace
 
 std::vector<std::uint8_t> Proof::to_bytes() const {
   std::vector<std::uint8_t> out;
   out.reserve(size_bytes());
-  const auto put_g1 = [&out](const G1& p) {
+  const auto put_g1 = [&out](const G1Affine& p) {
     const auto b = ec::g1_to_bytes(p);
     out.insert(out.end(), b.begin(), b.end());
   };
@@ -117,7 +93,7 @@ std::optional<Proof> Proof::from_bytes(std::span<const std::uint8_t> bytes) {
   if (bytes.size() != size_bytes()) return std::nullopt;
   Proof p;
   std::size_t off = 0;
-  const auto get_g1 = [&](G1& out) {
+  const auto get_g1 = [&](G1Affine& out) {
     const auto g = ec::g1_from_bytes(bytes.subspan(off, 64));
     off += 64;
     if (!g) return false;
@@ -135,8 +111,8 @@ std::optional<Proof> Proof::from_bytes(std::span<const std::uint8_t> bytes) {
     out = Fr::from_canonical(v);
     return true;
   };
-  for (G1* g : {&p.cm_a, &p.cm_b, &p.cm_c, &p.cm_z, &p.cm_t_lo, &p.cm_t_mid,
-                &p.cm_t_hi, &p.w_zeta, &p.w_zeta_omega}) {
+  for (G1Affine* g : {&p.cm_a, &p.cm_b, &p.cm_c, &p.cm_z, &p.cm_t_lo,
+                      &p.cm_t_mid, &p.cm_t_hi, &p.w_zeta, &p.w_zeta_omega}) {
     if (!get_g1(*g)) return std::nullopt;
   }
   for (Fr* f : {&p.eval_a, &p.eval_b, &p.eval_c, &p.eval_s1, &p.eval_s2,
@@ -147,7 +123,14 @@ std::optional<Proof> Proof::from_bytes(std::span<const std::uint8_t> bytes) {
 }
 
 void VerifyingKey::bind_transcript(Transcript& t) const {
-  bind_key(t, *this, normalize(key_commitments(*this)));
+  t.absorb_u64(n);
+  t.absorb_u64(ell);
+  t.absorb_fr(k1);
+  t.absorb_fr(k2);
+  for (const G1Affine* cm : {&cm_qm, &cm_ql, &cm_qr, &cm_qo, &cm_qc, &cm_s1,
+                             &cm_s2, &cm_s3}) {
+    t.absorb_g1(*cm);
+  }
 }
 
 std::optional<KeyPairResult> preprocess(const ConstraintSystem& cs,
@@ -238,8 +221,8 @@ std::optional<KeyPairResult> preprocess(const ConstraintSystem& cs,
     // Eight independent SRS-sized commitments: the bulk of preprocessing.
     const Polynomial* polys[8] = {&pk.qm, &pk.ql, &pk.qr, &pk.qo,
                                   &pk.qc, &pk.s1, &pk.s2, &pk.s3};
-    G1* cms[8] = {&vk.cm_qm, &vk.cm_ql, &vk.cm_qr, &vk.cm_qo,
-                  &vk.cm_qc, &vk.cm_s1, &vk.cm_s2, &vk.cm_s3};
+    G1Affine* cms[8] = {&vk.cm_qm, &vk.cm_ql, &vk.cm_qr, &vk.cm_qo,
+                        &vk.cm_qc, &vk.cm_s1, &vk.cm_s2, &vk.cm_s3};
     runtime::ThreadPool::instance().parallel_for(
         8, 1, [&](std::size_t lo, std::size_t hi) {
           for (std::size_t i = lo; i < hi; ++i) *cms[i] = srs.commit(*polys[i]);
@@ -302,7 +285,7 @@ std::optional<Proof> prove(const ProvingKey& pk, const ConstraintSystem& cs,
   const std::vector<Fr>* wires[3] = {&wa, &wb, &wc};
   const Fr wire_blinds[3][2] = {{b1, b2}, {b3, b4}, {b5, b6}};
   std::array<Polynomial, 3> wire_polys;
-  std::array<G1, 3> wire_cms;
+  std::array<G1Affine, 3> wire_cms;
   pool.parallel_for(3, 1, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i) {
       wire_polys[i] =
@@ -463,7 +446,7 @@ std::optional<Proof> prove(const ProvingKey& pk, const ConstraintSystem& cs,
   t_hi[0] -= b11;
   {
     const std::vector<Fr>* chunks[3] = {&t_lo, &t_mid, &t_hi};
-    std::array<G1, 3> t_cms;
+    std::array<G1Affine, 3> t_cms;
     pool.parallel_for(3, 1, [&](std::size_t lo, std::size_t hi) {
       for (std::size_t i = lo; i < hi; ++i) t_cms[i] = srs.commit(*chunks[i]);
     });
@@ -548,7 +531,7 @@ std::optional<Proof> prove(const ProvingKey& pk, const ConstraintSystem& cs,
     w_zeta_num += (*opened[i] - Polynomial::constant(evals[i])).scaled(vpow);
     vpow *= v;
   }
-  std::array<G1, 2> opening_cms;
+  std::array<G1Affine, 2> opening_cms;
   pool.parallel_for(2, 1, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i) {
       if (i == 0) {
@@ -603,7 +586,7 @@ bool pairing_holds(const PairingCheck& c, const PreparedG2Pair& g2) {
 struct Term {
   Fr scalar;
   const void* id = nullptr;
-  ec::G1Affine base;
+  G1Affine base;
 };
 
 // A proof's pairing check with its MSMs not yet evaluated: accept iff
@@ -617,15 +600,14 @@ struct DeferredCheck {
 };
 
 // The one address every proof's E = [e]_1 term reads the generator from.
-const ec::G1Affine& generator_base() {
-  static const ec::G1Affine g = ec::G1Affine::generator();
+const G1Affine& generator_base() {
+  static const G1Affine g = G1Affine::generator();
   return g;
 }
 
 // verify_prepare minus the G2 validation (the caller owns that) and
 // minus the group arithmetic: every transcript and scalar step of the
-// verifier. Serialising the proof's nine points and the key's eight
-// commitments for the transcript takes one field inversion in all.
+// verifier.
 std::optional<DeferredCheck> defer_check(const VerifyingKey& vk,
                                          const std::vector<Fr>& public_inputs,
                                          const Proof& proof) {
@@ -633,36 +615,28 @@ std::optional<DeferredCheck> defer_check(const VerifyingKey& vk,
   const std::size_t n = vk.n;
   if (!check::valid_ntt_domain(n)) return std::nullopt;
 
-  // The proof's points, then the key's commitments, each in transcript
-  // order. Proof points must be on the curve (cheap structural
-  // validation; G1 has cofactor 1, so on-curve is the full subgroup
-  // check).
-  enum : std::size_t { kA, kB, kC, kZ, kTLo, kTMid, kTHi, kW, kWOmega,
-                       kQm, kQl, kQr, kQo, kQc, kS1, kS2, kS3 };
-  const std::array<const G1*, 8> cms = key_commitments(vk);
-  const std::array<const G1*, 17> pts = {
-      &proof.cm_a,    &proof.cm_b,   &proof.cm_c,
-      &proof.cm_z,    &proof.cm_t_lo, &proof.cm_t_mid,
-      &proof.cm_t_hi, &proof.w_zeta, &proof.w_zeta_omega,
-      cms[0], cms[1], cms[2], cms[3], cms[4], cms[5], cms[6], cms[7]};
-  for (std::size_t k = kA; k <= kWOmega; ++k) {
-    if (!check::in_g1(*pts[k])) return std::nullopt;
+  // Proof points must be on the curve (cheap structural validation; G1
+  // has cofactor 1, so on-curve is the full subgroup check).
+  for (const G1Affine* p : {&proof.cm_a, &proof.cm_b, &proof.cm_c,
+                            &proof.cm_z, &proof.cm_t_lo, &proof.cm_t_mid,
+                            &proof.cm_t_hi, &proof.w_zeta,
+                            &proof.w_zeta_omega}) {
+    if (!check::in_g1(*p)) return std::nullopt;
   }
-  const std::vector<ec::G1Affine> pa = normalize(pts);
 
   Transcript transcript("zkdet-plonk");
-  bind_key(transcript, vk, std::span(pa).subspan(kQm));
+  vk.bind_transcript(transcript);
   for (const Fr& x : public_inputs) transcript.absorb_fr(x);
-  transcript.absorb_g1(pa[kA]);
-  transcript.absorb_g1(pa[kB]);
-  transcript.absorb_g1(pa[kC]);
+  transcript.absorb_g1(proof.cm_a);
+  transcript.absorb_g1(proof.cm_b);
+  transcript.absorb_g1(proof.cm_c);
   const Fr beta = transcript.challenge("beta");
   const Fr gamma = transcript.challenge("gamma");
-  transcript.absorb_g1(pa[kZ]);
+  transcript.absorb_g1(proof.cm_z);
   const Fr alpha = transcript.challenge("alpha");
-  transcript.absorb_g1(pa[kTLo]);
-  transcript.absorb_g1(pa[kTMid]);
-  transcript.absorb_g1(pa[kTHi]);
+  transcript.absorb_g1(proof.cm_t_lo);
+  transcript.absorb_g1(proof.cm_t_mid);
+  transcript.absorb_g1(proof.cm_t_hi);
   const Fr zeta = transcript.challenge("zeta");
   transcript.absorb_fr(proof.eval_a);
   transcript.absorb_fr(proof.eval_b);
@@ -671,8 +645,8 @@ std::optional<DeferredCheck> defer_check(const VerifyingKey& vk,
   transcript.absorb_fr(proof.eval_s2);
   transcript.absorb_fr(proof.eval_z_omega);
   const Fr v = transcript.challenge("v");
-  transcript.absorb_g1(pa[kW]);
-  transcript.absorb_g1(pa[kWOmega]);
+  transcript.absorb_g1(proof.w_zeta);
+  transcript.absorb_g1(proof.w_zeta_omega);
   const Fr u = transcript.challenge("u");
 
   const Fr zeta_n = zeta.pow(U256{n});
@@ -724,30 +698,30 @@ std::optional<DeferredCheck> defer_check(const VerifyingKey& vk,
                       v3 * proof.eval_c + v4 * proof.eval_s1 +
                       v5 * proof.eval_s2 + u * proof.eval_z_omega;
   const Fr zh_neg = -zh_zeta;
-  const auto term = [&](std::size_t k, const Fr& s) {
-    return Term{s, pts[k], pa[k]};
+  const auto term = [](const G1Affine& base, const Fr& s) {
+    return Term{s, &base, base};
   };
   DeferredCheck d;
-  d.lhs = {term(kW, Fr::one()), term(kWOmega, u)};
+  d.lhs = {term(proof.w_zeta, Fr::one()), term(proof.w_zeta_omega, u)};
   d.rhs = {
-      term(kQm, proof.eval_a * proof.eval_b),
-      term(kQl, proof.eval_a),
-      term(kQr, proof.eval_b),
-      term(kQo, proof.eval_c),
-      term(kQc, Fr::one()),
-      term(kZ, alpha * id_prod + alpha2 * l1_zeta + u),
-      term(kS3, -(alpha * beta * sig_ab * proof.eval_z_omega)),
-      term(kTLo, zh_neg),
-      term(kTMid, zh_neg * zeta_n),
-      term(kTHi, zh_neg * zeta_n * zeta_n),
-      term(kA, v),
-      term(kB, v2),
-      term(kC, v3),
-      term(kS1, v4),
-      term(kS2, v5),
-      Term{-e_scalar, &generator_base(), generator_base()},
-      term(kW, zeta),
-      term(kWOmega, u * zeta * omega),
+      term(vk.cm_qm, proof.eval_a * proof.eval_b),
+      term(vk.cm_ql, proof.eval_a),
+      term(vk.cm_qr, proof.eval_b),
+      term(vk.cm_qo, proof.eval_c),
+      term(vk.cm_qc, Fr::one()),
+      term(proof.cm_z, alpha * id_prod + alpha2 * l1_zeta + u),
+      term(vk.cm_s3, -(alpha * beta * sig_ab * proof.eval_z_omega)),
+      term(proof.cm_t_lo, zh_neg),
+      term(proof.cm_t_mid, zh_neg * zeta_n),
+      term(proof.cm_t_hi, zh_neg * zeta_n * zeta_n),
+      term(proof.cm_a, v),
+      term(proof.cm_b, v2),
+      term(proof.cm_c, v3),
+      term(vk.cm_s1, v4),
+      term(vk.cm_s2, v5),
+      term(generator_base(), -e_scalar),
+      term(proof.w_zeta, zeta),
+      term(proof.w_zeta_omega, u * zeta * omega),
   };
   d.binding = transcript.state();
   return d;
@@ -760,7 +734,7 @@ PairingCheck evaluate(const DeferredCheck& d) {
   c.lhs = d.lhs[1].base.to_jacobian().mul(d.lhs[1].scalar);
   c.lhs += d.lhs[0].base;  // scalar one
   std::array<Fr, 18> scalars;
-  std::array<ec::G1Affine, 18> bases;
+  std::array<G1Affine, 18> bases;
   for (std::size_t k = 0; k < d.rhs.size(); ++k) {
     scalars[k] = d.rhs[k].scalar;
     bases[k] = d.rhs[k].base;
@@ -831,7 +805,7 @@ G1 fold_side(std::span<const std::optional<DeferredCheck>> checks,
              std::span<const std::size_t> idx, std::span<const Fr> weights,
              std::array<Term, N> DeferredCheck::*side) {
   std::vector<Fr> scalars;
-  std::vector<ec::G1Affine> bases;
+  std::vector<G1Affine> bases;
   scalars.reserve(N * idx.size());
   bases.reserve(N * idx.size());
   std::unordered_map<const void*, std::size_t> slot;

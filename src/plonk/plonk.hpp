@@ -25,14 +25,16 @@ namespace zkdet::plonk {
 using ff::EvaluationDomain;
 using ff::Polynomial;
 
+// Points are stored affine, the form of their wire encoding, of the
+// transcript and of the verifier's MSM bases.
 struct Proof {
-  G1 cm_a, cm_b, cm_c;          // wire commitments
-  G1 cm_z;                      // permutation grand product
-  G1 cm_t_lo, cm_t_mid, cm_t_hi;  // split quotient
-  G1 w_zeta, w_zeta_omega;      // KZG opening proofs
-  Fr eval_a, eval_b, eval_c;    // wire evaluations at zeta
-  Fr eval_s1, eval_s2;          // sigma evaluations at zeta
-  Fr eval_z_omega;              // z(zeta * omega)
+  G1Affine cm_a, cm_b, cm_c;          // wire commitments
+  G1Affine cm_z;                      // permutation grand product
+  G1Affine cm_t_lo, cm_t_mid, cm_t_hi;  // split quotient
+  G1Affine w_zeta, w_zeta_omega;      // KZG opening proofs
+  Fr eval_a, eval_b, eval_c;          // wire evaluations at zeta
+  Fr eval_s1, eval_s2;                // sigma evaluations at zeta
+  Fr eval_z_omega;                    // z(zeta * omega)
 
   // Raw serialized size: 9 uncompressed G1 + 6 Fr.
   [[nodiscard]] static constexpr std::size_t size_bytes() {
@@ -40,9 +42,12 @@ struct Proof {
   }
   [[nodiscard]] std::vector<std::uint8_t> to_bytes() const;
   // Rejects wrong-length encodings, off-curve points and non-canonical
-  // field elements.
+  // field elements. Decodes straight to affine: no inversion.
   [[nodiscard]] static std::optional<Proof> from_bytes(
       std::span<const std::uint8_t> bytes);
+
+  // Equal values: the same as equal to_bytes(), without encoding.
+  bool operator==(const Proof&) const = default;
 };
 
 // [1]_2 and [tau]_2 with their Miller-loop lines precomputed; building it
@@ -60,8 +65,8 @@ struct VerifyingKey {
   std::size_t n = 0;    // domain size
   std::size_t ell = 0;  // number of public inputs
   Fr k1, k2;            // wire cosets
-  G1 cm_qm, cm_ql, cm_qr, cm_qo, cm_qc;
-  G1 cm_s1, cm_s2, cm_s3;
+  G1Affine cm_qm, cm_ql, cm_qr, cm_qo, cm_qc;
+  G1Affine cm_s1, cm_s2, cm_s3;
   G2 g2_gen, g2_tau;
   // Prepared once per key by preprocess() / prepare_g2(), shared by
   // copies of the key. The verifier uses it only while matches(g2_gen,

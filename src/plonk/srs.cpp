@@ -7,39 +7,30 @@ namespace zkdet::plonk {
 Srs Srs::setup(std::size_t max_degree, crypto::Drbg& rng) {
   Srs srs;
   const Fr tau = rng.random_fr();  // toxic waste; dropped on return
-  srs.g1_powers.reserve(max_degree + 1);
+  std::vector<G1> powers;
+  powers.reserve(max_degree + 1);
   Fr cur = Fr::one();
   for (std::size_t i = 0; i <= max_degree; ++i) {
-    srs.g1_powers.push_back(ec::g1_mul_generator(cur));
+    powers.push_back(ec::g1_mul_generator(cur));
     cur *= tau;
   }
+  srs.g1_powers = ec::batch_normalize(std::span<const G1>(powers));
   srs.g2_gen = G2::generator();
   srs.g2_tau = srs.g2_gen.mul(tau);
   return srs;
 }
 
-std::span<const ec::G1Affine> Srs::g1_powers_affine() const {
-  AffineCache& cache = *affine_cache_;
-  if (!cache.ready.load(std::memory_order_acquire)) {
-    const MutexLock lk(cache.mu);
-    if (!cache.ready.load(std::memory_order_relaxed)) {
-      cache.table = ec::batch_normalize(std::span<const G1>(g1_powers));
-      cache.ready.store(true, std::memory_order_release);
-    }
-  }
-  return cache.table;
-}
+G1Affine Srs::commit(const Polynomial& p) const { return commit(p.coeffs()); }
 
-G1 Srs::commit(const Polynomial& p) const { return commit(p.coeffs()); }
-
-G1 Srs::commit(std::span<const Fr> coeffs) const {
+G1Affine Srs::commit(std::span<const Fr> coeffs) const {
   // The zero polynomial commits to the identity; returning early also
   // keeps the failure message below from formatting `0 - 1`.
-  if (coeffs.empty()) return G1::identity();
+  if (coeffs.empty()) return G1Affine::identity();
   ZKDET_CHECK(coeffs.size() <= g1_powers.size(),
               "SRS too small: committing to degree ", coeffs.size() - 1,
               " with ", g1_powers.size(), " powers");
-  return ec::msm(coeffs, g1_powers_affine().subspan(0, coeffs.size()));
+  return G1Affine::from_jacobian(ec::msm(
+      coeffs, std::span<const G1Affine>(g1_powers).subspan(0, coeffs.size())));
 }
 
 }  // namespace zkdet::plonk

@@ -6,19 +6,15 @@
 // circuit with at most N-6 constraints — the "universal & updatable"
 // property that motivates Plonk in the paper.
 //
-// commit() runs the affine-base MSM against a lazily built,
-// batch-normalized mirror of g1_powers: the table is normalized once
-// per SRS (one field inversion for the whole vector) and shared by
-// every commitment of every proof, instead of paying a per-commit
-// Jacobian-input normalization.
+// The G1 powers are stored affine, batch-normalized once by setup() (one
+// field inversion for the whole table): every read is an affine-base
+// MSM in commit(). After setup the SRS is immutable and is shared by
+// concurrent provers without a lock.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
-#include <memory>
 #include <vector>
 
-#include "check/mutex.hpp"
 #include "crypto/rng.hpp"
 #include "ec/curve.hpp"
 #include "ec/msm.hpp"
@@ -27,14 +23,15 @@
 namespace zkdet::plonk {
 
 using ec::G1;
+using ec::G1Affine;
 using ec::G2;
 using ff::Fr;
 using ff::Polynomial;
 
 struct Srs {
-  std::vector<G1> g1_powers;  // [tau^i]_1, i in [0, max_degree]
-  G2 g2_gen;                  // [1]_2
-  G2 g2_tau;                  // [tau]_2
+  std::vector<G1Affine> g1_powers;  // [tau^i]_1, i in [0, max_degree]
+  G2 g2_gen;                        // [1]_2
+  G2 g2_tau;                        // [tau]_2
 
   [[nodiscard]] static Srs setup(std::size_t max_degree, crypto::Drbg& rng);
 
@@ -45,28 +42,11 @@ struct Srs {
     return g1_powers.empty() ? 0 : g1_powers.size() - 1;
   }
 
-  // KZG commitment to a coefficient-form polynomial; the zero
-  // polynomial (empty coefficients) commits to the identity.
-  [[nodiscard]] G1 commit(const Polynomial& p) const;
-  [[nodiscard]] G1 commit(std::span<const Fr> coeffs) const;
-
-  // Batch-normalized affine mirror of g1_powers, built on first use
-  // (thread-safe) and shared across copies of this Srs. g1_powers must
-  // not be mutated after the first call.
-  [[nodiscard]] std::span<const ec::G1Affine> g1_powers_affine() const;
-
- private:
-  // Double-checked publication (replaces std::call_once so the build
-  // step participates in the annotated lock order): `table` is written
-  // under `mu`, then published by the release store to `ready`; readers
-  // that observe `ready` (acquire) use the table without the lock, so
-  // the field itself is intentionally not ZKDET_GUARDED_BY(mu).
-  struct AffineCache {
-    Mutex mu{check::LockLevel::kSrsCache, "srs.affine-cache"};
-    std::atomic<bool> ready{false};
-    std::vector<ec::G1Affine> table;
-  };
-  std::shared_ptr<AffineCache> affine_cache_ = std::make_shared<AffineCache>();
+  // KZG commitment to a coefficient-form polynomial, affine: the one
+  // place a commitment leaves Jacobian form. The zero polynomial (empty
+  // coefficients) commits to the identity.
+  [[nodiscard]] G1Affine commit(const Polynomial& p) const;
+  [[nodiscard]] G1Affine commit(std::span<const Fr> coeffs) const;
 };
 
 }  // namespace zkdet::plonk

@@ -15,7 +15,6 @@
 
 namespace zkdet::plonk {
 
-using ec::G1;
 using ff::Fr;
 
 class Transcript {
@@ -25,8 +24,7 @@ class Transcript {
   void absorb_bytes(std::span<const std::uint8_t> data);
   void absorb_u64(std::uint64_t v);
   void absorb_fr(const Fr& v);
-  void absorb_g1(const G1& p);
-  // The same bytes as absorb_g1(p.to_jacobian()), without the inversion.
+  // The point's 64-byte affine encoding (ec::g1_to_bytes).
   void absorb_g1(const ec::G1Affine& p);
 
   // Deterministic challenge bound to everything absorbed so far; the

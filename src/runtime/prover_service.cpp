@@ -19,15 +19,6 @@ const char* prove_error_name(ProveError e) {
   return "unknown";
 }
 
-ProverService::ProverService(const plonk::Srs& srs) : srs_(srs) {
-  // Warm the SRS's batch-normalized affine power table here, alongside
-  // the proving/verifying-key cache: it is normalized once per SRS (one
-  // field inversion for the whole vector) and then shared by every
-  // commit() of every job this service runs, instead of showing up as
-  // latency inside the first proof.
-  (void)srs_.g1_powers_affine();
-}
-
 std::shared_ptr<const plonk::KeyPairResult> ProverService::keys_for(
     const std::string& circuit_id, const plonk::ConstraintSystem& cs) {
   std::shared_future<KeyPtr> entry;

@@ -68,7 +68,7 @@ struct ProveOutcome {
 class ProverService {
  public:
   // `srs` must outlive the service.
-  explicit ProverService(const plonk::Srs& srs);
+  explicit ProverService(const plonk::Srs& srs) : srs_(srs) {}
 
   // Returns the keys for `circuit_id`, preprocessing `cs` on first use.
   // Concurrent misses for the same id deduplicate: one caller

@@ -81,6 +81,10 @@ inline G2 wrong_subgroup_g2() {
 inline G1 off_curve_g1() {
   return G1::from_affine(Fp::one(), Fp::one());  // 1 != 1 + 3
 }
+// The same coordinates in the stored (affine) form of proof points.
+inline ec::G1Affine off_curve_g1_affine() {
+  return ec::G1Affine{Fp::one(), Fp::one()};
+}
 inline G2 off_curve_g2() { return G2::from_affine(Fp2::one(), Fp2::one()); }
 
 }  // namespace zkdet::test

@@ -361,18 +361,21 @@ Party make_party(core::ZkdetSystem& sys, Drbg& rng) {
   return p;
 }
 
-// Signed settle intent carrying its ProofClaim — the same shape
-// core::KeySecureExchange::make_settle_intent builds, constructed by
-// hand so tests can attach deliberately invalid proofs.
+// Signed settle intent whose ProofClaim carries `claimed` while its
+// closure verifies `verified` — the shape
+// core::KeySecureExchange::make_settle_intent builds (there the two are
+// one proof), constructed by hand so tests can attach deliberately
+// invalid or mismatched proofs.
 txpool::TxIntent claimed_settle(core::ZkdetSystem& sys,
                                 const KeyPair& seller_keys, std::uint64_t id,
-                                const Fr& k_c, const plonk::Proof& proof) {
+                                const Fr& k_c, const plonk::Proof& claimed,
+                                const plonk::Proof& verified) {
   auto& arb = sys.arbiter_for_exchange(id);
   const auto xinfo = arb.exchange(id);
   auto claim = std::make_shared<ProofClaim>();
   claim->vk = &sys.key_verifier().vk();
   claim->public_inputs = {k_c, xinfo->key_commitment, xinfo->h_v};
-  claim->proof = proof;
+  claim->proof = claimed;
   txpool::AccessSet access;
   access.write_contract(arb.address())
       .touch_account(arb.address())
@@ -381,11 +384,18 @@ txpool::TxIntent claimed_settle(core::ZkdetSystem& sys,
       seller_keys,
       sys.pool().next_nonce(crypto::address_of(seller_keys.pk)),
       "arbiter.settle",
-      [arbp = &arb, id, k_c, claim](CallContext& ctx) {
-        arbp->settle(ctx, id, k_c, claim->proof);
+      [arbp = &arb, id, k_c, verified](CallContext& ctx) {
+        arbp->settle(ctx, id, k_c, verified);
       },
       std::move(access), /*value=*/0, /*pay_to=*/{},
       /*gas_limit=*/30'000'000, /*priority=*/0, claim);
+}
+
+// The honest shape: the claim carries the proof the closure verifies.
+txpool::TxIntent claimed_settle(core::ZkdetSystem& sys,
+                                const KeyPair& seller_keys, std::uint64_t id,
+                                const Fr& k_c, const plonk::Proof& proof) {
+  return claimed_settle(sys, seller_keys, id, k_c, proof, proof);
 }
 
 struct BatchedArbiterFixture : ::testing::Test {
@@ -556,6 +566,68 @@ TEST_F(BatchedArbiterFixture, BatchedSettleAttributesForgeryHonestCommit) {
   EXPECT_FALSE(replay.ticket->receipt.success);
   EXPECT_EQ(sys().chain().balance(parties[kBad].seller),
             sellers_before[kBad] + 400);
+}
+
+TEST_F(BatchedArbiterFixture, MismatchedClaimVerifiesInlineAtFullPrice) {
+  // A claim that differs from the proof its closure verifies buys
+  // nothing: the contract verifies the closure's proof inline, at the
+  // full pairing price, with the inline verdict. Exchange 0 settles an
+  // honest proof under a forged claim, exchange 1 a forged proof under
+  // an honest claim; exchanges 2 and 3 are honest settles whose claims
+  // match and ride the fold. A forged proof is a well-formed pi_k for
+  // another k_v.
+  std::vector<Party> parties;
+  std::vector<std::uint64_t> ids;
+  std::vector<txpool::TicketPtr> tickets;
+  std::vector<std::uint64_t> sellers_before;
+  for (std::size_t s = 0; s < kShards; ++s) {
+    parties.push_back(make_party(sys(), rng));
+    const Fr k_v = rng.random_fr();
+    ids.push_back(lock_on(s, parties.back(), 600, hash_key(k_v)));
+    const auto honest = prove_key(parties.back(), k_v);
+    ASSERT_TRUE(honest);
+    plonk::Proof claimed = *honest;
+    plonk::Proof verified = *honest;
+    if (s < 2) {
+      const auto forged = prove_key(parties.back(), rng.random_fr());
+      ASSERT_TRUE(forged);
+      (s == 0 ? claimed : verified) = *forged;
+    }
+    sellers_before.push_back(sys().chain().balance(parties.back().seller));
+    auto res = sys().pool().submit(
+        claimed_settle(sys(), parties.back().seller_keys, ids.back(),
+                       parties.back().k + k_v, claimed, verified));
+    ASSERT_TRUE(res.accepted) << res.error;
+    tickets.push_back(res.ticket);
+  }
+  ASSERT_EQ(sys().pool().drain(), kShards);
+
+  for (std::size_t i = 0; i < kShards; ++i) {
+    ASSERT_TRUE(tickets[i]->done());
+    const auto& r = tickets[i]->receipt;
+    const auto state =
+        sys().arbiter_for_exchange(ids[i]).exchange(ids[i])->state;
+    if (i == 1) {
+      EXPECT_FALSE(r.success);
+      EXPECT_NE(r.error.find("invalid key proof"), std::string::npos)
+          << r.error;
+      EXPECT_EQ(state, ExchangeState::kLocked);
+      EXPECT_EQ(sys().chain().balance(parties[i].seller), sellers_before[i]);
+    } else {
+      EXPECT_TRUE(r.success) << i << ": " << r.error;
+      EXPECT_EQ(state, ExchangeState::kSettled);
+      EXPECT_EQ(sys().chain().balance(parties[i].seller),
+                sellers_before[i] + 600);
+    }
+  }
+  // The honest claims pay 2 G1 muls plus a share of the one pairing; the
+  // mismatched settle that succeeded pays the whole pairing instead.
+  const auto& g = sys().chain().gas_schedule();
+  const std::uint64_t pairing = g.pairing_base + 2 * g.pairing_per_pair;
+  const std::uint64_t share = 2 * g.ecmul + (pairing + kShards - 1) / kShards;
+  const std::uint64_t honest_gas = tickets[2]->receipt.gas_used;
+  EXPECT_EQ(tickets[3]->receipt.gas_used, honest_gas);
+  EXPECT_EQ(tickets[0]->receipt.gas_used, honest_gas - share + pairing);
 }
 
 TEST_F(BatchedArbiterFixture, BatchedDoubleSettleAndRefundAfterSettleReject) {

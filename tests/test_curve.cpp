@@ -5,12 +5,14 @@
 #include "ec/curve.hpp"
 #include "ec/msm.hpp"
 #include "ec/pairing.hpp"
+#include "oracles/msm.hpp"
 
 namespace zkdet::ec {
 namespace {
 
 using ff::Fr;
 using ff::random_field;
+using oracle::msm_naive;
 
 TEST(G1, GeneratorOnCurve) {
   EXPECT_TRUE(G1::generator().on_curve());

@@ -3,12 +3,14 @@
 #include <random>
 
 #include "ec/msm.hpp"
+#include "oracles/msm.hpp"
 
 namespace zkdet::ec {
 namespace {
 
 using ff::Fr;
 using ff::random_field;
+using oracle::msm_naive;
 
 TEST(FixedBase, G1MatchesGenericMul) {
   std::mt19937_64 rng(1);

@@ -1,11 +1,11 @@
 // Differential tests for the MSM: the signed-digit affine bucket path
 // (on Jacobian and on pre-normalized affine bases) and the naive
-// double-and-add reference must agree bit-for-bit on every input class
-// that has historically broken bucket MSMs (zero scalars, identity
-// bases, duplicate bases, scalars at the group order boundary, scalars
-// at the edges of the GLV split, sizes straddling the
+// double-and-add oracle (tests/oracles/msm.hpp) must agree bit-for-bit
+// on every input class that has historically broken bucket MSMs (zero
+// scalars, identity bases, duplicate bases, scalars at the group order
+// boundary, scalars at the edges of the GLV split, sizes straddling the
 // naive/parallel and Jacobian/batch-affine bucket thresholds, doublings
-// and cancellations inside a batch). Also covers
+// and cancellations inside a batch). Also covers the parallel cut,
 // batch normalization with identities, mixed (Jacobian + affine)
 // addition, the constant-time ladder, and the bucket-memory window cap.
 #include <gtest/gtest.h>
@@ -16,6 +16,8 @@
 
 #include "ec/glv.hpp"
 #include "ec/msm.hpp"
+#include "oracles/msm.hpp"
+#include "runtime/stats.hpp"
 #include "runtime/thread_pool.hpp"
 
 namespace zkdet::ec {
@@ -41,7 +43,7 @@ struct G1Api {
     return msm(s, p);
   }
   static G1 run_naive(std::span<const Fr> s, std::span<const G1> p) {
-    return msm_naive(s, p);
+    return oracle::msm_naive(s, p);
   }
 };
 
@@ -56,7 +58,7 @@ struct G2Api {
     return msm_g2(s, p);
   }
   static G2 run_naive(std::span<const Fr> s, std::span<const G2> p) {
-    return msm_naive_g2(s, p);
+    return oracle::msm_naive_g2(s, p);
   }
 };
 
@@ -259,6 +261,35 @@ TEST(MsmDifferential, G1BatchAffineWindowsShareOneScratch) {
   pool.configure(width);
   EXPECT_EQ(serial, expected);
   EXPECT_EQ(msm(scalars, points), expected);
+}
+
+// The pool decision counts the caller's terms, not the 2n bases GLV
+// hands the engine: at two or more workers a 200-term G1 MSM stays on the
+// calling thread, and a 256-term one goes to the pool.
+TEST(MsmDifferential, G1ParallelCutCountsCallerTerms) {
+  auto& pool = runtime::ThreadPool::instance();
+  const std::size_t width = pool.concurrency();
+  if (width < 2) pool.configure(2);
+  std::mt19937_64 rng(12);
+  for (const std::size_t n : {200u, 256u}) {
+    std::vector<Fr> scalars(n);
+    std::vector<G1> points(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      scalars[i] = random_field<Fr>(rng);
+      points[i] = g1_mul_generator(random_field<Fr>(rng));
+    }
+    const auto affine = batch_normalize(std::span<const G1>(points));
+    const std::uint64_t before = runtime::stats().parallel_regions;
+    const G1 got = msm(scalars, affine);
+    const std::uint64_t after = runtime::stats().parallel_regions;
+    if (n < 256) {
+      EXPECT_EQ(after, before) << n;
+    } else {
+      EXPECT_GT(after, before) << n;
+    }
+    EXPECT_EQ(got, oracle::msm_naive(scalars, points)) << n;
+  }
+  pool.configure(width);
 }
 
 TEST(MsmDifferential, EmptyInputIsIdentity) {

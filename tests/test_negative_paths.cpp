@@ -156,7 +156,7 @@ TEST_F(BatchNegativeFixture, OffCurveProofPointMakesBatchFalse) {
   const std::vector<Fr> pub = {c.witness[4]};
 
   Proof tampered = *proof;
-  tampered.cm_a = test::off_curve_g1();
+  tampered.cm_a = test::off_curve_g1_affine();
   const BatchEntry entries[] = {{&keys->vk, &pub, &tampered}};
   EXPECT_FALSE(plonk::batch_verify(entries));
   EXPECT_FALSE(plonk::verify(keys->vk, pub, tampered));
@@ -198,7 +198,7 @@ TEST_F(BatchNegativeFixture, TamperedEntryDoesNotPoisonHonestOnes) {
   EXPECT_TRUE(plonk::batch_verify(honest));
 
   Proof tampered = *proof;
-  tampered.cm_z = test::off_curve_g1();
+  tampered.cm_z = test::off_curve_g1_affine();
   const BatchEntry mixed[] = {{&keys->vk, &pub, &*proof},
                               {&keys->vk, &pub, &tampered}};
   EXPECT_FALSE(plonk::batch_verify(mixed));

@@ -87,9 +87,9 @@ TEST_F(PlonkFixture, EveryProofFieldIsBindings) {
   auto proof = prove(keys->pk, c.cs, srs(), c.witness, rng);
   ASSERT_TRUE(proof.has_value());
   const std::vector<Fr> pub{c.witness[4]};
-  const auto tamper_g1 = [&](ec::G1 Proof::* field) {
+  const auto tamper_g1 = [&](ec::G1Affine Proof::* field) {
     Proof bad = *proof;
-    bad.*field = (bad.*field) + ec::G1::generator();
+    bad.*field = ec::G1Affine::from_jacobian(ec::G1::generator() + bad.*field);
     return verify(keys->vk, pub, bad);
   };
   EXPECT_FALSE(tamper_g1(&Proof::cm_a));
@@ -441,7 +441,7 @@ TEST_F(PlonkFixture, BatchSharedKeyMergesBasesAndRejectsAForgery) {
       if (forgery == 0) {
         bad.eval_c += Fr::one();
       } else {
-        bad.cm_t_lo += G1::generator();
+        bad.cm_t_lo = G1Affine::from_jacobian(G1::generator() + bad.cm_t_lo);
       }
       std::vector<BatchEntry> entries = honest;
       entries[bad_at].proof = &bad;
@@ -617,7 +617,8 @@ TEST(Srs, CommitmentIsHomomorphic) {
   const Srs srs = Srs::setup(16, rng);
   const ff::Polynomial p{{Fr::from_u64(1), Fr::from_u64(2)}};
   const ff::Polynomial q{{Fr::from_u64(5), Fr::zero(), Fr::from_u64(3)}};
-  EXPECT_EQ(srs.commit(p + q), srs.commit(p) + srs.commit(q));
+  EXPECT_EQ(srs.commit(p + q).to_jacobian(),
+            srs.commit(p).to_jacobian() + srs.commit(q));
 }
 
 TEST(Srs, EmptySrsHasZeroMaxDegree) {
@@ -642,33 +643,21 @@ TEST(Srs, CommitEmptyPolynomialIsIdentity) {
   // commit to the identity instead.
   Drbg rng(13);
   const Srs srs = Srs::setup(8, rng);
-  EXPECT_EQ(srs.commit(std::span<const Fr>{}), ec::G1::identity());
+  EXPECT_EQ(srs.commit(std::span<const Fr>{}), ec::G1Affine::identity());
   EXPECT_EQ(srs.commit(ff::Polynomial{}), srs.commit(std::span<const Fr>{}));
-}
-
-TEST(Srs, AffinePowersMatchJacobian) {
-  Drbg rng(14);
-  const Srs srs = Srs::setup(8, rng);
-  const auto affine = srs.g1_powers_affine();
-  ASSERT_EQ(affine.size(), srs.g1_powers.size());
-  for (std::size_t i = 0; i < affine.size(); ++i) {
-    EXPECT_EQ(affine[i].to_jacobian(), srs.g1_powers[i]) << i;
-  }
-  // Copies share the lazily built cache (shared_ptr member).
-  const Srs copy = srs;
-  EXPECT_EQ(copy.g1_powers_affine().size(), affine.size());
 }
 
 TEST(Srs, PowersConsistent) {
   Drbg rng(12);
   const Srs srs = Srs::setup(8, rng);
   EXPECT_EQ(srs.g1_powers.size(), 9u);
-  EXPECT_EQ(srs.g1_powers[0], ec::G1::generator());
+  EXPECT_EQ(srs.g1_powers[0], ec::G1Affine::generator());
   // e(tau^i G, H) == e(tau^(i-1) G, tau H)
   for (int i = 1; i < 4; ++i) {
     EXPECT_TRUE(ec::pairing_product_is_one(
-        srs.g1_powers[static_cast<std::size_t>(i)], srs.g2_gen,
-        -srs.g1_powers[static_cast<std::size_t>(i - 1)], srs.g2_tau));
+        srs.g1_powers[static_cast<std::size_t>(i)].to_jacobian(), srs.g2_gen,
+        -srs.g1_powers[static_cast<std::size_t>(i - 1)].to_jacobian(),
+        srs.g2_tau));
   }
 }
 

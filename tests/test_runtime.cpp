@@ -18,6 +18,7 @@
 #include "fault/fault.hpp"
 #include "fault/points.hpp"
 #include "ff/ntt.hpp"
+#include "oracles/msm.hpp"
 #include "plonk/plonk.hpp"
 #include "runtime/prover_service.hpp"
 #include "runtime/stats.hpp"
@@ -142,7 +143,7 @@ TEST_F(RuntimeTest, MsmOnPoolMatchesNaive) {
     scalars[i] = rng.random_fr();
     points[i] = ec::g1_mul_generator(rng.random_fr());
   }
-  EXPECT_EQ(ec::msm(scalars, points), ec::msm_naive(scalars, points));
+  EXPECT_EQ(ec::msm(scalars, points), oracle::msm_naive(scalars, points));
 }
 
 TEST_F(RuntimeTest, NttIdenticalAcrossWorkerCounts) {

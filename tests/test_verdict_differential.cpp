@@ -123,12 +123,12 @@ TEST(VerdictDifferential, PlonkSingleProofCases) {
   expect_verdict(vk, {}, *proof, false, "no publics");
   expect_verdict(vk, {c.witness[4], Fr::one()}, *proof, false, "extra public");
 
-  for (G1 Proof::*field :
+  for (G1Affine Proof::*field :
        {&Proof::cm_a, &Proof::cm_b, &Proof::cm_c, &Proof::cm_z, &Proof::cm_t_lo,
         &Proof::cm_t_mid, &Proof::cm_t_hi, &Proof::w_zeta,
         &Proof::w_zeta_omega}) {
     Proof bad = *proof;
-    bad.*field = (bad.*field) + G1::generator();
+    bad.*field = G1Affine::from_jacobian(G1::generator() + bad.*field);
     expect_verdict(vk, pub, bad, false, "tampered G1 field");
   }
   for (Fr Proof::*field : {&Proof::eval_a, &Proof::eval_b, &Proof::eval_c,
@@ -141,7 +141,7 @@ TEST(VerdictDifferential, PlonkSingleProofCases) {
 
   // test_negative_paths: off-curve proof point, bad VK G2 points.
   Proof off = *proof;
-  off.cm_a = test::off_curve_g1();
+  off.cm_a = test::off_curve_g1_affine();
   expect_verdict(vk, pub, off, false, "off-curve commitment");
   VerifyingKey bad_tau = vk;
   bad_tau.g2_tau = test::wrong_subgroup_g2();
@@ -244,7 +244,7 @@ TEST(VerdictDifferential, PlonkBatchVerdictsMatchPerEntryOracle) {
   Proof bad = proofs[1];
   bad.eval_a += Fr::one();
   Proof off = proofs[2];
-  off.cm_z = test::off_curve_g1();
+  off.cm_z = test::off_curve_g1_affine();
   VerifyingKey rogue_vk = keys->vk;
   rogue_vk.g2_tau = test::wrong_subgroup_g2();
 
