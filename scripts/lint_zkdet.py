@@ -86,6 +86,12 @@ analysis tooling"):
                            (the synchronous API, src/rpc) calls, so its
                            declared access set cannot drift between
                            copies. Matched with string literals kept.
+  contract-mirror          no container-typed data member (std::map,
+                           std::vector, ...) in a class deriving from
+                           Contract in src/chain: contract state lives
+                           only in the contract's MeteredStore slots,
+                           which a reverted transaction rolls back; a
+                           C++ copy beside them does not roll back.
 
 Suppression: append  // zkdet-lint: allow(<rule>)  to the offending
 line (or the line above) after review.
@@ -131,12 +137,68 @@ COMMENT_OR_STRING_RE = re.compile(
 
 
 class Rule:
-    def __init__(self, name, pattern, applies, why, keep_strings=False):
+    def __init__(self, name, pattern, applies, why, keep_strings=False,
+                 scan=None):
         self.name = name
-        self.pattern = re.compile(pattern)
+        self.pattern = re.compile(pattern) if pattern else None
         self.applies = applies  # path predicate (repo-relative, POSIX)
         self.why = why
         self.keep_strings = keep_strings  # match literals, not only code
+        # Whole-file check for rules a line regex cannot express: takes
+        # the stripped code, returns the offending line numbers.
+        self.scan = scan
+
+
+CONTRACT_CLASS_RE = re.compile(
+    r"\b(?:class|struct)\s+\w+\s*(?:final\s*)?:\s*(?:public\s+)?"
+    r"(?:chain::)?Contract\b[^{;]*\{")
+CONTAINER_RE = re.compile(
+    r"\bstd::(?:map|multimap|unordered_map|unordered_multimap|set|multiset"
+    r"|unordered_set|unordered_multiset|vector|deque|list|forward_list"
+    r"|array|queue|priority_queue|stack)\s*<")
+NON_MEMBER_RE = re.compile(r"^\s*(?:(?:public|protected|private)\s*:\s*)*"
+                           r"(?:static|using|typedef|friend)\b")
+
+
+def without_template_args(text: str) -> str:
+    out, depth = [], 0
+    for c in text:
+        if c == "<":
+            depth += 1
+        elif c == ">" and depth > 0:
+            depth -= 1
+        elif depth == 0:
+            out.append(c)
+    return "".join(out)
+
+
+def contract_container_members(code: str) -> list[int]:
+    """Lines of container-typed data members declared in the body of a
+    class deriving from Contract (nested bodies are skipped)."""
+    lines = []
+    for cls in CONTRACT_CLASS_RE.finditer(code):
+        depth, top = 1, []  # top: indices of the statement's depth-1 chars
+        for i in range(cls.end(), len(code)):
+            c = code[i]
+            if c == "{":
+                depth += 1
+            elif c == "}":
+                depth -= 1
+                if depth == 0:
+                    break
+                decl = "".join(code[j] for j in top)
+                if depth == 1 and "(" in without_template_args(decl):
+                    top = []  # a function body ended
+            elif depth == 1 and c == ";":
+                decl = "".join(code[j] for j in top)
+                match = CONTAINER_RE.search(decl)
+                if (match and not NON_MEMBER_RE.match(decl)
+                        and "(" not in without_template_args(decl)):
+                    lines.append(code.count("\n", 0, top[match.start()]) + 1)
+                top = []
+            elif depth == 1:
+                top.append(i)
+    return lines
 
 
 def _in(prefixes):
@@ -347,6 +409,18 @@ RULES = [
         "instead of declaring the transaction again",
         keep_strings=True,
     ),
+    Rule(
+        # A second copy of contract state beside the metered slots is
+        # written directly and survives a revert, so escrow and token
+        # state diverge from what the chain committed.
+        "contract-mirror",
+        None,
+        _in(("src/chain/",)),
+        "keep contract state in the contract's MeteredStore slots and "
+        "decode it with the record's read_* function; a container member "
+        "is not rolled back when a transaction reverts",
+        scan=contract_container_members,
+    ),
 ]
 
 
@@ -387,12 +461,20 @@ def lint_file(root: pathlib.Path, path: pathlib.Path) -> list[tuple]:
     raw_lines = path.read_text(errors="replace").splitlines()
     code_lines = strip_noncode("\n".join(raw_lines)).splitlines()
     literal_lines = strip_comments("\n".join(raw_lines)).splitlines()
+    scanned = {
+        rule.name: set(rule.scan("\n".join(code_lines)))
+        for rule in rules if rule.scan
+    }
     findings = []
     for lineno, code in enumerate(code_lines, start=1):
         for rule in rules:
-            text = literal_lines[lineno - 1] if rule.keep_strings else code
-            if not rule.pattern.search(text):
-                continue
+            if rule.scan:
+                if lineno not in scanned[rule.name]:
+                    continue
+            else:
+                text = literal_lines[lineno - 1] if rule.keep_strings else code
+                if not rule.pattern.search(text):
+                    continue
             allows = allowed_rules(raw_lines[lineno - 1])
             if lineno >= 2:
                 allows |= allowed_rules(raw_lines[lineno - 2])
@@ -609,6 +691,27 @@ SELF_TEST_CASES = [
      None),  # the builders' one home
     ("src/rpc/arbiter_prose_ok.cpp",
      '// the dispatcher never names "arbiter.settle" itself\n', None),
+    # contract-mirror: no container data member in a Contract subclass.
+    ("src/chain/mirror.hpp",
+     "class Book : public Contract {\n public:\n  void add(int x);\n"
+     " private:\n  std::uint64_t next_id_ = 1;\n"
+     "  std::map<std::uint64_t, Entry> entries_;\n};\n",
+     "contract-mirror"),
+    ("src/chain/token_info_ok.hpp",
+     "struct TokenInfo {\n  std::uint64_t id = 0;\n"
+     "  std::vector<std::uint64_t> prev_ids;\n};\n"
+     "class DataNft : public Contract {\n public:\n"
+     "  std::vector<std::uint64_t> provenance(std::uint64_t id) const;\n"
+     "  std::optional<TokenInfo> token(std::uint64_t id) const {\n"
+     "    std::vector<int> scratch;\n    return read(scratch);\n  }\n"
+     " private:\n  DataNft& nft_;\n};\n", None),
+    ("src/chain/nested_type_ok.hpp",
+     "class Book : public Contract {\n"
+     "  struct Page {\n    std::vector<int> lines;\n  };\n"
+     "  std::uint64_t first_id_;\n};\n", None),
+    ("src/chain/braced_member.hpp",
+     "class Book : public chain::Contract {\n"
+     "  std::vector<std::uint64_t> ids_{1, 2};\n};\n", "contract-mirror"),
 ]
 
 

@@ -26,6 +26,11 @@ enum class ExchangeState : std::uint8_t {
   kRefunded = 3,
 };
 
+// Every contract field lives in the contract's MeteredStore, one slot
+// per field under a per-record prefix (xc/<id>/, zkcp/<id>/), plus one
+// "next_id" counter slot per contract. The read_* functions are the one
+// decoder of each record kind, over any SlotReader.
+
 struct ExchangeInfo {
   std::uint64_t id = 0;
   Address buyer;
@@ -38,8 +43,20 @@ struct ExchangeInfo {
   ExchangeState state = ExchangeState::kNone;
 };
 
+// Decodes exchange `id` from KeySecureArbiter slots (nullopt = no lock
+// created it).
+[[nodiscard]] std::optional<ExchangeInfo> read_exchange(const SlotReader& read,
+                                                        std::uint64_t id);
+
+// The exchange whose h_v slot holds `h_v` among one KeySecureArbiter's
+// slots (committed storage or a follower image), if any.
+[[nodiscard]] std::optional<ExchangeInfo> find_exchange_by_hv(
+    const std::map<std::string, Fr>& slots, const Fr& h_v);
+
 class KeySecureArbiter : public Contract {
  public:
+  static constexpr std::string_view kName = "KeySecureArbiter";
+
   // `verifier` must hold the verifying key of the pi_k circuit, whose
   // public inputs are ordered (k_c, c, h_v).
   //
@@ -72,22 +89,10 @@ class KeySecureArbiter : public Contract {
   // chain state (ExchangeDriver recovery).
   [[nodiscard]] std::optional<ExchangeInfo> find_by_hv(const Fr& h_v) const;
 
- protected:
-  // Rebuilds exchanges_/next_id_ from the event log + restored KV slots
-  // after a ledger reopen.
-  void on_adopted(const Chain& chain) override;
-
  private:
-  // True when `id` belongs to this shard's arithmetic progression.
-  [[nodiscard]] bool owns_id(std::uint64_t id) const {
-    return id >= first_id_ && (id - first_id_) % stride_ == 0;
-  }
-
   const PlonkVerifierContract& verifier_;
   std::uint64_t first_id_;
   std::uint64_t stride_;
-  std::uint64_t next_id_;
-  std::map<std::uint64_t, ExchangeInfo> exchanges_;
 };
 
 struct ZkcpExchangeInfo {
@@ -100,6 +105,9 @@ struct ZkcpExchangeInfo {
   bool key_revealed = false;
   ExchangeState state = ExchangeState::kNone;
 };
+
+[[nodiscard]] std::optional<ZkcpExchangeInfo> read_zkcp_exchange(
+    const SlotReader& read, std::uint64_t id);
 
 class ZkcpArbiter : public Contract {
  public:
@@ -116,17 +124,6 @@ class ZkcpArbiter : public Contract {
 
   // What any third party can read off the chain after settlement.
   [[nodiscard]] std::optional<Fr> leaked_key(std::uint64_t id) const;
-
- protected:
-  // Rebuilds exchanges_/next_id_ from the event log + restored KV slots
-  // after a ledger reopen (same discipline as KeySecureArbiter: without
-  // this, a failed-over primary could not resume an in-flight ZKCP
-  // exchange).
-  void on_adopted(const Chain& chain) override;
-
- private:
-  std::uint64_t next_id_ = 1;
-  std::map<std::uint64_t, ZkcpExchangeInfo> exchanges_;
 };
 
 }  // namespace zkdet::chain

@@ -4,6 +4,38 @@ namespace zkdet::chain {
 
 namespace {
 constexpr std::size_t kAuctionCodeSize = 2100;
+const std::string kNextId = "next_id";
+
+std::string auction_prefix(std::uint64_t id) {
+  return "auction/" + std::to_string(id) + "/";
+}
+
+std::uint64_t price_at(const AuctionInfo& a, std::uint64_t height) {
+  const std::uint64_t elapsed =
+      height > a.start_block ? height - a.start_block : 0;
+  const std::uint64_t decayed = a.decay_per_block * elapsed;
+  if (a.start_price < a.floor_price + decayed) return a.floor_price;
+  return a.start_price - decayed;
+}
+}  // namespace
+
+std::optional<AuctionInfo> read_auction(const SlotReader& read,
+                                        std::uint64_t id) {
+  const std::string p = auction_prefix(id);
+  const auto open = read(p + "open");
+  if (!open) return std::nullopt;
+  AuctionInfo a;
+  a.id = id;
+  a.open = slot_u64(*open) != 0;
+  a.token_id = slot_u64(required_slot(read, p + "token"));
+  a.seller = decode_address(required_slot(read, p + "seller"));
+  a.start_price = slot_u64(required_slot(read, p + "start"));
+  a.floor_price = slot_u64(required_slot(read, p + "floor"));
+  a.decay_per_block = slot_u64(required_slot(read, p + "decay"));
+  a.start_block = slot_u64(required_slot(read, p + "startblock"));
+  if (const auto w = read(p + "winner")) a.winner = decode_address(*w);
+  if (const auto price = read(p + "settled")) a.settle_price = slot_u64(*price);
+  return a;
 }
 
 ClockAuction::ClockAuction(DataNft& nft)
@@ -19,22 +51,16 @@ std::uint64_t ClockAuction::create(CallContext& ctx, std::uint64_t token_id,
   // Escrow the token (requires prior approval of this contract).
   nft_.transfer_from(ctx, seller, address(), token_id);
 
-  const std::uint64_t id = next_id_++;
-  AuctionInfo info;
-  info.id = id;
-  info.token_id = token_id;
-  info.seller = seller;
-  info.start_price = start_price;
-  info.floor_price = floor_price;
-  info.decay_per_block = decay_per_block;
-  info.start_block = ctx.block_height();
-  info.open = true;
-  auctions_[id] = info;
-
-  store().set_u64(ctx, "auction/" + std::to_string(id) + "/token", token_id);
-  store().set_u64(ctx, "auction/" + std::to_string(id) + "/start", start_price);
-  // Carries every AuctionInfo field the KV slots don't, so a ledger
-  // reopen can rebuild the auction table from the event log alone.
+  const std::uint64_t id = store().get_u64(ctx, kNextId).value_or(1);
+  store().set_u64(ctx, kNextId, id + 1);
+  const std::string p = auction_prefix(id);
+  store().set_u64(ctx, p + "token", token_id);
+  store().set(ctx, p + "seller", encode_address(seller));
+  store().set_u64(ctx, p + "start", start_price);
+  store().set_u64(ctx, p + "floor", floor_price);
+  store().set_u64(ctx, p + "decay", decay_per_block);
+  store().set_u64(ctx, p + "startblock", ctx.block_height());
+  store().set_u64(ctx, p + "open", 1);
   ctx.emit(Event{"AuctionCreated",
                  {{"auctionId", std::to_string(id)},
                   {"tokenId", std::to_string(token_id)},
@@ -47,121 +73,55 @@ std::uint64_t ClockAuction::create(CallContext& ctx, std::uint64_t token_id,
 
 std::uint64_t ClockAuction::current_price(std::uint64_t auction_id,
                                           std::uint64_t height) const {
-  const auto it = auctions_.find(auction_id);
-  if (it == auctions_.end()) return 0;
-  const AuctionInfo& a = it->second;
-  const std::uint64_t elapsed =
-      height > a.start_block ? height - a.start_block : 0;
-  const std::uint64_t decayed = a.decay_per_block * elapsed;
-  if (a.start_price < a.floor_price + decayed) return a.floor_price;
-  return a.start_price - decayed;
+  const auto a = read_auction(store().committed(), auction_id);
+  return a ? price_at(*a, height) : 0;
 }
 
 void ClockAuction::bid(CallContext& ctx, std::uint64_t auction_id) {
-  auto it = auctions_.find(auction_id);
-  ctx.require(it != auctions_.end(), "no such auction");
-  AuctionInfo& a = it->second;
-  ctx.require(a.open, "auction closed");
-  const std::uint64_t price = current_price(auction_id, ctx.block_height());
+  const auto a = read_auction(store().metered(ctx), auction_id);
+  ctx.require(a.has_value(), "no such auction");
+  ctx.require(a->open, "auction closed");
+  const std::uint64_t price = price_at(*a, ctx.block_height());
   ctx.require(ctx.value() >= price, "bid below current clock price");
 
   // Hand over the token first (checks may still revert), then move money.
   const Address bidder = ctx.sender();
   {
     CallContext::SenderScope as_contract(ctx, address());
-    nft_.transfer_from(ctx, address(), bidder, a.token_id);
+    nft_.transfer_from(ctx, address(), bidder, a->token_id);
   }
   // Forward the escrowed payment to the seller; refund any overshoot.
-  ctx.chain().transfer(address(), a.seller, price);
+  ctx.chain().transfer(address(), a->seller, price);
   if (ctx.value() > price) {
     ctx.chain().transfer(address(), bidder, ctx.value() - price);
   }
 
-  a.open = false;
-  a.winner = ctx.sender();
-  a.settle_price = price;
-  store().set_u64(ctx, "auction/" + std::to_string(auction_id) + "/settled",
-                  price);
+  const std::string p = auction_prefix(auction_id);
+  store().set_u64(ctx, p + "open", 0);
+  store().set(ctx, p + "winner", encode_address(bidder));
+  store().set_u64(ctx, p + "settled", price);
   ctx.emit(Event{"AuctionSettled",
                  {{"auctionId", std::to_string(auction_id)},
-                  {"winner", ctx.sender()},
+                  {"winner", bidder},
                   {"price", std::to_string(price)}}});
 }
 
 void ClockAuction::cancel(CallContext& ctx, std::uint64_t auction_id) {
-  auto it = auctions_.find(auction_id);
-  ctx.require(it != auctions_.end(), "no such auction");
-  AuctionInfo& a = it->second;
-  ctx.require(a.open, "auction closed");
-  ctx.require(a.seller == ctx.sender(), "only seller may cancel");
+  const auto a = read_auction(store().metered(ctx), auction_id);
+  ctx.require(a.has_value(), "no such auction");
+  ctx.require(a->open, "auction closed");
+  ctx.require(a->seller == ctx.sender(), "only seller may cancel");
   {
     CallContext::SenderScope as_contract(ctx, address());
-    nft_.transfer_from(ctx, address(), a.seller, a.token_id);
+    nft_.transfer_from(ctx, address(), a->seller, a->token_id);
   }
-  a.open = false;
+  store().set_u64(ctx, auction_prefix(auction_id) + "open", 0);
   ctx.emit(Event{"AuctionCancelled",
                  {{"auctionId", std::to_string(auction_id)}}});
 }
 
-void ClockAuction::on_adopted(const Chain& chain) {
-  next_id_ = 1;
-  auctions_.clear();
-  for (const auto& block : chain.blocks()) {
-    for (const auto& tx : block.txs) {
-      for (const auto& ev : tx.events) {
-        const auto field = [&](const char* name) -> const std::string* {
-          for (const auto& [k, v] : ev.fields) {
-            if (k == name) return &v;
-          }
-          return nullptr;
-        };
-        const std::string* aid = field("auctionId");
-        if (aid == nullptr) continue;
-        const std::uint64_t id = std::stoull(*aid);
-        if (ev.name == "AuctionCreated") {
-          const std::string* token = field("tokenId");
-          const std::string* seller = field("seller");
-          const std::string* start = field("startPrice");
-          const std::string* floor = field("floorPrice");
-          const std::string* decay = field("decayPerBlock");
-          if (token == nullptr || seller == nullptr || start == nullptr ||
-              floor == nullptr || decay == nullptr) {
-            throw Revert("auction adoption: incomplete AuctionCreated event");
-          }
-          AuctionInfo info;
-          info.id = id;
-          info.token_id = std::stoull(*token);
-          info.seller = *seller;
-          info.start_price = std::stoull(*start);
-          info.floor_price = std::stoull(*floor);
-          info.decay_per_block = std::stoull(*decay);
-          // create() reads block_height() inside the tx that seals this
-          // block, so the event's containing block IS the start block.
-          info.start_block = tx.block;
-          info.open = true;
-          auctions_[id] = std::move(info);
-          if (id >= next_id_) next_id_ = id + 1;
-        } else if (ev.name == "AuctionSettled") {
-          const auto it = auctions_.find(id);
-          if (it == auctions_.end()) continue;
-          it->second.open = false;
-          if (const std::string* w = field("winner")) it->second.winner = *w;
-          if (const std::string* p = field("price")) {
-            it->second.settle_price = std::stoull(*p);
-          }
-        } else if (ev.name == "AuctionCancelled") {
-          const auto it = auctions_.find(id);
-          if (it != auctions_.end()) it->second.open = false;
-        }
-      }
-    }
-  }
-}
-
 std::optional<AuctionInfo> ClockAuction::auction(std::uint64_t id) const {
-  const auto it = auctions_.find(id);
-  if (it == auctions_.end()) return std::nullopt;
-  return it->second;
+  return read_auction(store().committed(), id);
 }
 
 }  // namespace zkdet::chain

@@ -13,6 +13,9 @@
 
 namespace zkdet::chain {
 
+// An auction's fields live in slots under auction/<id>/ (token,
+// seller, start, floor, decay, startblock, open; winner and settled
+// once sold), next to the contract's "next_id" counter.
 struct AuctionInfo {
   std::uint64_t id = 0;
   std::uint64_t token_id = 0;
@@ -25,6 +28,10 @@ struct AuctionInfo {
   Address winner;
   std::uint64_t settle_price = 0;
 };
+
+// The one decoder of an auction record (nullopt = never created).
+[[nodiscard]] std::optional<AuctionInfo> read_auction(const SlotReader& read,
+                                                      std::uint64_t id);
 
 class ClockAuction : public Contract {
  public:
@@ -46,14 +53,8 @@ class ClockAuction : public Contract {
 
   [[nodiscard]] std::optional<AuctionInfo> auction(std::uint64_t id) const;
 
- protected:
-  // Rebuilds auctions_/next_id_ from the event log after a ledger reopen.
-  void on_adopted(const Chain& chain) override;
-
  private:
   DataNft& nft_;
-  std::uint64_t next_id_ = 1;
-  std::map<std::uint64_t, AuctionInfo> auctions_;
 };
 
 }  // namespace zkdet::chain

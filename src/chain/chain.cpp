@@ -1,5 +1,7 @@
 #include "chain/chain.hpp"
 
+#include <algorithm>
+
 #include "chain/claim.hpp"
 #include "crypto/sha256.hpp"
 #include "fault/fault.hpp"
@@ -116,6 +118,77 @@ std::optional<Fr> MeteredStore::peek(const std::string& key) const {
   return it->second;
 }
 
+SlotReader slot_reader(const std::map<std::string, Fr>& slots) {
+  return [&slots](const std::string& key) -> std::optional<Fr> {
+    const auto it = slots.find(key);
+    if (it == slots.end()) return std::nullopt;
+    return it->second;
+  };
+}
+
+// --- Address <-> Fr ---
+
+namespace {
+
+constexpr std::uint8_t kAccountTag = 1;
+constexpr std::uint8_t kContractTag = 2;
+constexpr std::size_t kAccountBytes = 20;
+constexpr std::string_view kContractPrefix = "ct:";
+constexpr std::size_t kContractTextBytes = 30;
+
+int hex_digit(char c) {
+  if (c >= '0' && c <= '9') return c - '0';
+  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
+  return -1;  // uppercase too: it would not decode back to itself
+}
+
+}  // namespace
+
+Fr encode_address(const Address& a) {
+  std::array<std::uint8_t, 32> b{};  // big-endian; b[0] stays zero
+  if (a.size() == 2 + 2 * kAccountBytes && a.starts_with("0x")) {
+    b[1] = kAccountTag;
+    for (std::size_t i = 0; i < kAccountBytes; ++i) {
+      const int hi = hex_digit(a[2 + 2 * i]);
+      const int lo = hex_digit(a[3 + 2 * i]);
+      if (hi < 0 || lo < 0) throw Revert("address not encodable: " + a);
+      b[2 + i] = static_cast<std::uint8_t>(hi * 16 + lo);
+    }
+    return Fr::from_canonical(ff::u256_from_bytes(b));
+  }
+  const std::string_view text = std::string_view(a).substr(
+      a.starts_with(kContractPrefix) ? kContractPrefix.size() : a.size());
+  if (text.empty() || text.size() > kContractTextBytes ||
+      text.find('\0') != std::string_view::npos) {
+    throw Revert("address not encodable: " + a);
+  }
+  b[1] = kContractTag;
+  std::copy(text.begin(), text.end(), b.begin() + 2);
+  return Fr::from_canonical(ff::u256_from_bytes(b));
+}
+
+Address decode_address(const Fr& v) {
+  const auto b = ff::u256_to_bytes(v.to_canonical());
+  const auto zero_from = [&](std::size_t i) {
+    return std::all_of(b.begin() + static_cast<std::ptrdiff_t>(i), b.end(),
+                       [](std::uint8_t x) { return x == 0; });
+  };
+  if (b[0] == 0 && b[1] == kAccountTag && zero_from(2 + kAccountBytes)) {
+    return "0x" + crypto::hex_encode(std::span<const std::uint8_t>(
+                      b.data() + 2, kAccountBytes));
+  }
+  if (b[0] == 0 && b[1] == kContractTag && b[2] != 0) {
+    std::size_t end = 2;
+    while (end < b.size() && b[end] != 0) ++end;
+    if (zero_from(end)) {
+      return std::string(kContractPrefix) +
+             std::string(b.begin() + 2,
+                         b.begin() + static_cast<std::ptrdiff_t>(end));
+    }
+  }
+  throw Revert("slot holds no address");
+}
+
 // --- Chain ---
 
 Chain::Chain() {
@@ -209,9 +282,7 @@ void Chain::finish_deploy(const crypto::KeyPair& deployer,
     contract->store_.owner_ = addr;
     contract->store_.slots_ = std::move(pending->second.slots);
     pending_adoptions_.erase(pending);
-    Contract& adopted = *contract;
     contracts_.push_back(std::move(contract));
-    adopted.on_adopted(*this);
     if (receipt != nullptr) {
       receipt->success = true;
       receipt->gas_used = meter.used();
@@ -511,30 +582,9 @@ std::vector<Receipt> Chain::execute_batch(const std::vector<BatchTx>& txs,
   // Fail-points are consulted here (not in stage 3) so their hit
   // ordering is canonical-order-deterministic under any worker count.
   const std::uint64_t new_height = blocks_.size();
-  // A commit-time abort (injected or overdraw) happens AFTER the
-  // closure ran to completion: the store capture discards cleanly, but
-  // any off-store C++ mirror the contract maintains (arbiter exchange
-  // map, NFT owner view, auction book) already reflects a tx that
-  // never committed. Rebuild the touched contracts' mirrors from
-  // committed state via the adoption hook (reset + replay of sealed
-  // blocks and slots). Sound here because mirror-bearing contracts
-  // declare whole-contract writes, so no earlier tx of this batch — not
-  // yet sealed, hence invisible to the replay — touched the same
-  // contract. This stage is serial, so the rebuild cannot race stage 3.
-  const auto abort_at_commit = [&](TxExecCapture& cap) {
-    std::vector<Address> touched;
-    for (const auto& [slot, value] : cap.slots) {
-      (void)value;
-      // cap.slots is ordered by (address, key): addresses arrive grouped.
-      if (touched.empty() || touched.back() != slot.first) {
-        touched.push_back(slot.first);
-      }
-    }
-    cap.discard();
-    for (const Address& addr : touched) {
-      if (Contract* c = find_contract(addr)) c->on_adopted(*this);
-    }
-  };
+  // A commit-time abort (injected or overdraw) happens after the
+  // closure ran to completion; discarding its capture rolls it back
+  // whole, since contract state lives only in the captured slots.
   std::vector<TxRecord> final_txs;
   std::vector<std::size_t> final_idx;
   for (std::size_t i = 0; i < txs.size(); ++i) {
@@ -543,7 +593,7 @@ std::vector<Receipt> Chain::execute_batch(const std::vector<BatchTx>& txs,
     if (rc.success && fault::fire(fault::points::kTxpoolExecConflictAbort)) {
       // Injected optimistic-concurrency abort: the tx is included as
       // failed (nonce consumed) with its effects discarded.
-      abort_at_commit(caps[i]);
+      caps[i].discard();
       recs[i].events.clear();
       rc.success = false;
       rc.events.clear();
@@ -553,7 +603,7 @@ std::vector<Receipt> Chain::execute_batch(const std::vector<BatchTx>& txs,
           1, std::memory_order_relaxed);
     }
     if (rc.success && !apply_capture(caps[i])) {
-      abort_at_commit(caps[i]);
+      caps[i].discard();
       recs[i].events.clear();
       rc.success = false;
       rc.events.clear();

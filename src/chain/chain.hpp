@@ -2,8 +2,9 @@
 //
 // A deterministic single-sequencer chain: every metered call becomes a
 // signed transaction in a SHA-256-linked block. Contracts are C++
-// objects that read/write a gas-metered key-value store and emit gas-
-// metered events; account balances move through the same runtime. This
+// objects whose whole state is a gas-metered key-value store (rolled
+// back with the rest of a reverted transaction); they emit gas-metered
+// events, and account balances move through the same runtime. This
 // preserves what the paper relies on from Ethereum — tamper-evident
 // ordered history, gas accounting, contract-held escrow, public
 // verifiability of records — without a networked consensus stack
@@ -248,8 +249,40 @@ class CallContext {
   const ClaimVerdict* claim_verdict_ = nullptr;
 };
 
+// Reads one contract slot (nullopt = unset). Each record kind has one
+// decoder over a SlotReader, so the same code reads a record inside a
+// transaction (MeteredStore::metered), from committed storage
+// (MeteredStore::committed) and from a follower's replay image
+// (slot_reader over RestoredContract::slots).
+using SlotReader = std::function<std::optional<Fr>(const std::string& key)>;
+
+[[nodiscard]] SlotReader slot_reader(const std::map<std::string, Fr>& slots);
+
+// A slot holding a u64 (counters, amounts, heights, enum states).
+[[nodiscard]] inline std::uint64_t slot_u64(const Fr& v) {
+  return v.to_canonical().limb[0];
+}
+
+// A slot every record of its kind has once created; reverts if unset.
+[[nodiscard]] inline Fr required_slot(const SlotReader& read,
+                                      const std::string& key) {
+  auto v = read(key);
+  if (!v) throw Revert("missing slot " + key);
+  return *v;
+}
+
+// Reversible Address <-> Fr packing for slots that hold an address,
+// behind a tag byte so the value stays below 2^248 < r: an account
+// ("0x" + 40 lowercase hex digits) packs its 20 bytes, a contract
+// ("ct:<name>#<n>") the at most 30 bytes after "ct:". Encoding anything
+// else, or decoding a value no address encodes to, reverts.
+[[nodiscard]] Fr encode_address(const Address& a);
+[[nodiscard]] Address decode_address(const Fr& v);
+
 // Gas-metered contract storage: a flat key -> field-element map with
-// EVM new-slot / update pricing.
+// EVM new-slot / update pricing. It is the only copy of a contract's
+// state: writes buffer in the transaction's capture and reach the map
+// at commit, so a reverted transaction leaves no trace.
 class MeteredStore {
  public:
   void set(CallContext& ctx, const std::string& key, const Fr& value);
@@ -261,6 +294,12 @@ class MeteredStore {
   void erase(CallContext& ctx, const std::string& key);
   // Unmetered read for off-chain inspection (a full node's RPC view).
   [[nodiscard]] std::optional<Fr> peek(const std::string& key) const;
+  // Record-decoder readers: metered and access-checked inside `ctx`'s
+  // transaction (seeing its own writes), or committed state unmetered.
+  [[nodiscard]] SlotReader metered(CallContext& ctx) const {
+    return [this, &ctx](const std::string& key) { return get(ctx, key); };
+  }
+  [[nodiscard]] SlotReader committed() const { return slot_reader(slots_); }
   // Full-state view for off-chain audits (e.g. asserting a secret never
   // appears in any contract slot — the chaos harness does exactly this).
   [[nodiscard]] const std::map<std::string, Fr>& peek_all() const {
@@ -293,15 +332,8 @@ class Contract {
   [[nodiscard]] MeteredStore& store() { return store_; }
   [[nodiscard]] const MeteredStore& store() const { return store_; }
 
-  // Called after a ledger reopen re-bound this contract to its persisted
-  // storage (Chain deploy-adoption). The KV store and full block/event
-  // history are restored at this point; contracts that keep an off-store
-  // RPC mirror (index maps) rebuild it here from slots + the event log.
-  friend class Chain;  // invokes on_adopted during deploy adoption
-  virtual void on_adopted(const Chain& chain) { (void)chain; }
-
  private:
-  friend class Chain;
+  friend class Chain;  // binds address_ and store_ at deploy/adoption
   std::string name_;
   std::size_t code_size_;
   Address address_;

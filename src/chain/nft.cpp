@@ -10,6 +10,10 @@ namespace {
 // provenance extensions); calibrated so deployment gas matches the
 // paper's Table II (see DESIGN.md substitution #4).
 constexpr std::size_t kNftCodeSize = 4839;
+
+std::string slot_key(const char* field, std::uint64_t id) {
+  return std::string(field) + "/" + std::to_string(id);
+}
 }  // namespace
 
 const char* formula_name(Formula f) {
@@ -23,48 +27,56 @@ const char* formula_name(Formula f) {
   return "?";
 }
 
+std::optional<TokenInfo> read_token(const SlotReader& read,
+                                   std::uint64_t id) {
+  const auto owner = read(slot_key("owner", id));
+  if (!owner) return std::nullopt;
+  TokenInfo t;
+  t.id = id;
+  t.owner = decode_address(*owner);
+  t.uri = required_slot(read, slot_key("uri", id));
+  t.data_commitment = required_slot(read, slot_key("datacm", id));
+  t.key_commitment = required_slot(read, slot_key("keycm", id));
+  if (const auto f = read(slot_key("formula", id))) {
+    t.formula = static_cast<Formula>(slot_u64(*f));
+  }
+  if (const auto n = read(slot_key("prevn", id))) {
+    for (std::uint64_t i = 0; i < slot_u64(*n); ++i) {
+      t.prev_ids.push_back(slot_u64(required_slot(
+          read, slot_key("prev", id) + "/" + std::to_string(i))));
+    }
+  }
+  return t;
+}
+
 DataNft::DataNft() : Contract("DataNFT", kNftCodeSize) {}
 
-std::string DataNft::key(const char* field, std::uint64_t id) const {
-  return std::string(field) + "/" + std::to_string(id);
+std::optional<Address> DataNft::owner(CallContext& ctx,
+                                      std::uint64_t token_id) const {
+  const auto v = store().get(ctx, slot_key("owner", token_id));
+  if (!v) return std::nullopt;
+  return decode_address(*v);
 }
 
 std::uint64_t DataNft::mint(CallContext& ctx, const Fr& uri, const Fr& data_cm,
                             const Fr& key_cm) {
-  const std::uint64_t id = next_id_++;
-  store().set(ctx, key("owner", id),
-              Fr::reduce_from(
-                  ff::u256_from_bytes(crypto::Sha256::digest(ctx.sender()))));
-  store().set(ctx, key("uri", id), uri);
-  store().set(ctx, key("datacm", id), data_cm);
-  store().set(ctx, key("keycm", id), key_cm);
+  const std::uint64_t id = store().get_u64(ctx, "count").value_or(0) + 1;
+  store().set_u64(ctx, "count", id);
+  store().set(ctx, slot_key("owner", id), encode_address(ctx.sender()));
+  store().set(ctx, slot_key("uri", id), uri);
+  store().set(ctx, slot_key("datacm", id), data_cm);
+  store().set(ctx, slot_key("keycm", id), key_cm);
   const auto bal = store().get_u64(ctx, "balance/" + ctx.sender());
   store().set_u64(ctx, "balance/" + ctx.sender(), bal.value_or(0) + 1);
-  store().set_u64(ctx, "count", next_id_ - 1);
   ctx.emit(Event{"Mint",
                  {{"tokenId", std::to_string(id)}, {"owner", ctx.sender()}}});
-
-  TokenInfo info;
-  info.id = id;
-  info.owner = ctx.sender();
-  info.uri = uri;
-  info.data_commitment = data_cm;
-  info.key_commitment = key_cm;
-  index_[id] = std::move(info);
   return id;
 }
 
 std::uint64_t DataNft::mint_derived(
     CallContext& ctx, const Fr& uri, const Fr& data_cm, const Fr& key_cm,
     Formula formula, const std::vector<std::uint64_t>& prev_ids) {
-  // Validate parents before mutating anything (check-then-act; there is
-  // no state rollback on revert).
   ctx.require(!prev_ids.empty(), "derived token needs parents");
-  for (const std::uint64_t p : prev_ids) {
-    ctx.require(exists(p), "parent does not exist");
-    ctx.require(index_.at(p).owner == ctx.sender(),
-                "caller does not own parent token");
-  }
   const std::uint64_t id = mint(ctx, uri, data_cm, key_cm);
   record_transformation(ctx, id, formula, prev_ids);
   return id;
@@ -73,48 +85,45 @@ std::uint64_t DataNft::mint_derived(
 void DataNft::record_transformation(
     CallContext& ctx, std::uint64_t token_id, Formula formula,
     const std::vector<std::uint64_t>& prev_ids) {
-  ctx.require(exists(token_id), "no such token");
+  const auto own = owner(ctx, token_id);
+  ctx.require(own.has_value(), "no such token");
   ctx.require(!prev_ids.empty(), "derived token needs parents");
-  ctx.gas().charge(ctx.chain().gas_schedule().sload);  // owner check
-  TokenInfo& info = index_.at(token_id);
-  ctx.require(info.owner == ctx.sender(), "only the owner records");
-  ctx.require(info.prev_ids.empty() && info.formula == Formula::kGenesis,
+  ctx.require(*own == ctx.sender(), "only the owner records");
+  ctx.require(!store().get(ctx, slot_key("formula", token_id)).has_value(),
               "provenance already recorded");
   for (const std::uint64_t p : prev_ids) {
-    ctx.require(exists(p), "parent does not exist");
-    ctx.gas().charge(ctx.chain().gas_schedule().sload);  // owner check
-    ctx.require(index_.at(p).owner == ctx.sender(),
+    const auto parent_owner = owner(ctx, p);
+    ctx.require(parent_owner.has_value(), "parent does not exist");
+    ctx.require(*parent_owner == ctx.sender(),
                 "caller does not own parent token");
     ctx.require(p != token_id, "token cannot be its own parent");
   }
-  store().set_u64(ctx, key("prevn", token_id), prev_ids.size());
+  store().set_u64(ctx, slot_key("prevn", token_id), prev_ids.size());
   for (std::size_t i = 0; i < prev_ids.size(); ++i) {
-    store().set_u64(ctx, key("prev", token_id) + "/" + std::to_string(i),
+    store().set_u64(ctx, slot_key("prev", token_id) + "/" + std::to_string(i),
                     prev_ids[i]);
   }
-  store().set_u64(ctx, key("formula", token_id),
+  store().set_u64(ctx, slot_key("formula", token_id),
                   static_cast<std::uint64_t>(formula));
   ctx.emit(Event{"Transformation",
                  {{"tokenId", std::to_string(token_id)},
                   {"formula", formula_name(formula)}}});
-  info.formula = formula;
-  info.prev_ids = prev_ids;
 }
 
 void DataNft::transfer_from(CallContext& ctx, const Address& from,
                             const Address& to, std::uint64_t token_id) {
-  ctx.require(exists(token_id), "no such token");
-  ctx.gas().charge(ctx.chain().gas_schedule().sload);  // owner
-  TokenInfo& info = index_.at(token_id);
-  ctx.require(info.owner == from, "from is not the owner");
-  const auto appr = approvals_.find(token_id);
+  const auto own = owner(ctx, token_id);
+  ctx.require(own.has_value(), "no such token");
+  ctx.require(*own == from, "from is not the owner");
+  const std::string approved_key = slot_key("approved", token_id);
+  const auto approved = store().get(ctx, approved_key);
   const bool authorized =
       ctx.sender() == from ||
-      (appr != approvals_.end() && appr->second == ctx.sender());
+      (approved.has_value() && *approved == encode_address(ctx.sender()));
   ctx.require(authorized, "caller not authorized");
 
-  store().set(ctx, key("owner", token_id),
-              Fr::reduce_from(ff::u256_from_bytes(crypto::Sha256::digest(to))));
+  store().set(ctx, slot_key("owner", token_id), encode_address(to));
+  if (approved) store().erase(ctx, approved_key);
   const auto bf = store().get_u64(ctx, "balance/" + from);
   store().set_u64(ctx, "balance/" + from, bf.value_or(1) - 1);
   const auto bt = store().get_u64(ctx, "balance/" + to);
@@ -123,140 +132,54 @@ void DataNft::transfer_from(CallContext& ctx, const Address& from,
                  {{"tokenId", std::to_string(token_id)},
                   {"from", from},
                   {"to", to}}});
-  info.owner = to;
-  approvals_.erase(token_id);
 }
 
 void DataNft::approve(CallContext& ctx, const Address& to,
                       std::uint64_t token_id) {
-  ctx.require(exists(token_id), "no such token");
-  ctx.gas().charge(ctx.chain().gas_schedule().sload);
-  ctx.require(index_.at(token_id).owner == ctx.sender(),
-              "only owner can approve");
-  store().set(ctx, key("approved", token_id),
-              Fr::reduce_from(ff::u256_from_bytes(crypto::Sha256::digest(to))));
-  // The slot holds only H(to); the event carries the address itself so
-  // the approval survives a ledger reopen (mirror rebuild).
+  const auto own = owner(ctx, token_id);
+  ctx.require(own.has_value(), "no such token");
+  ctx.require(*own == ctx.sender(), "only owner can approve");
+  store().set(ctx, slot_key("approved", token_id), encode_address(to));
   ctx.emit(Event{"Approval",
                  {{"tokenId", std::to_string(token_id)}, {"approved", to}}});
-  approvals_[token_id] = to;
 }
 
 void DataNft::burn(CallContext& ctx, std::uint64_t token_id) {
-  ctx.require(exists(token_id), "no such token");
-  ctx.gas().charge(ctx.chain().gas_schedule().sload);
-  ctx.require(index_.at(token_id).owner == ctx.sender(),
-              "only owner can burn");
-  store().erase(ctx, key("owner", token_id));
-  store().erase(ctx, key("uri", token_id));
-  store().erase(ctx, key("datacm", token_id));
-  store().erase(ctx, key("keycm", token_id));
+  const auto own = owner(ctx, token_id);
+  ctx.require(own.has_value(), "no such token");
+  ctx.require(*own == ctx.sender(), "only owner can burn");
+  store().erase(ctx, slot_key("owner", token_id));
+  store().erase(ctx, slot_key("uri", token_id));
+  store().erase(ctx, slot_key("datacm", token_id));
+  store().erase(ctx, slot_key("keycm", token_id));
+  const std::string approved_key = slot_key("approved", token_id);
+  if (store().get(ctx, approved_key)) store().erase(ctx, approved_key);
   const auto bal = store().get_u64(ctx, "balance/" + ctx.sender());
   store().set_u64(ctx, "balance/" + ctx.sender(), bal.value_or(1) - 1);
   ctx.emit(Event{"Burn", {{"tokenId", std::to_string(token_id)}}});
-  index_.erase(token_id);
-  approvals_.erase(token_id);
-}
-
-void DataNft::on_adopted(const Chain& chain) {
-  next_id_ = 1;
-  index_.clear();
-  approvals_.clear();
-  if (const auto count = store().peek("count")) {
-    next_id_ = count->to_canonical().limb[0] + 1;
-  }
-
-  // owner/<id> slots hold H(addr) reduced into Fr — not invertible, but
-  // the address space is enumerable: every possible owner is a known
-  // account or contract, so match by hashing the candidates.
-  std::vector<std::pair<Fr, Address>> candidates;
-  const auto add_candidate = [&](const Address& a) {
-    candidates.emplace_back(
-        Fr::reduce_from(ff::u256_from_bytes(crypto::Sha256::digest(a))), a);
-  };
-  for (const auto& [addr, pk] : chain.account_keys()) add_candidate(addr);
-  for (const auto& c : chain.contracts()) add_candidate(c->address());
-  for (const auto& [addr, rc] : chain.pending_adoptions()) add_candidate(addr);
-
-  // Live tokens are exactly the ids with an owner slot (burn erases it).
-  for (const auto& [slot_key, value] : store().peek_all()) {
-    if (slot_key.rfind("owner/", 0) != 0) continue;
-    TokenInfo info;
-    info.id = std::stoull(slot_key.substr(6));
-    const auto owner = std::find_if(
-        candidates.begin(), candidates.end(),
-        [&](const auto& cand) { return cand.first == value; });
-    if (owner == candidates.end()) {
-      throw Revert("DataNFT adoption: unresolvable owner of token " +
-                   std::to_string(info.id));
-    }
-    info.owner = owner->second;
-    if (const auto v = store().peek(key("uri", info.id))) info.uri = *v;
-    if (const auto v = store().peek(key("datacm", info.id))) {
-      info.data_commitment = *v;
-    }
-    if (const auto v = store().peek(key("keycm", info.id))) {
-      info.key_commitment = *v;
-    }
-    if (const auto v = store().peek(key("formula", info.id))) {
-      info.formula = static_cast<Formula>(v->to_canonical().limb[0]);
-    }
-    if (const auto n = store().peek(key("prevn", info.id))) {
-      const std::uint64_t count = n->to_canonical().limb[0];
-      for (std::uint64_t i = 0; i < count; ++i) {
-        const auto p =
-            store().peek(key("prev", info.id) + "/" + std::to_string(i));
-        if (p) info.prev_ids.push_back(p->to_canonical().limb[0]);
-      }
-    }
-    index_[info.id] = std::move(info);
-  }
-
-  // Approvals carry a plain address only in the event log; replay it in
-  // order (Transfer and Burn clear the approval, as the live code does).
-  for (const auto& block : chain.blocks()) {
-    for (const auto& tx : block.txs) {
-      for (const auto& ev : tx.events) {
-        const auto field = [&](const char* name) -> const std::string* {
-          for (const auto& [k, v] : ev.fields) {
-            if (k == name) return &v;
-          }
-          return nullptr;
-        };
-        const std::string* tid = field("tokenId");
-        if (tid == nullptr) continue;
-        if (ev.name == "Approval") {
-          if (const std::string* to = field("approved")) {
-            approvals_[std::stoull(*tid)] = *to;
-          }
-        } else if (ev.name == "Transfer" || ev.name == "Burn") {
-          approvals_.erase(std::stoull(*tid));
-        }
-      }
-    }
-  }
-  std::erase_if(approvals_,
-                [&](const auto& kv) { return !index_.contains(kv.first); });
 }
 
 Address DataNft::owner_of(CallContext& ctx, std::uint64_t token_id) const {
-  ctx.gas().charge(ctx.chain().gas_schedule().sload);
-  const auto it = index_.find(token_id);
-  if (it == index_.end()) throw Revert("no such token");
-  return it->second.owner;
+  const auto own = owner(ctx, token_id);
+  if (!own) throw Revert("no such token");
+  return *own;
 }
 
 std::optional<TokenInfo> DataNft::token(std::uint64_t token_id) const {
-  const auto it = index_.find(token_id);
-  if (it == index_.end()) return std::nullopt;
-  return it->second;
+  return read_token(store().committed(), token_id);
+}
+
+std::uint64_t DataNft::total_minted() const {
+  const auto count = store().peek("count");
+  return count ? slot_u64(*count) : 0;
 }
 
 bool DataNft::exists(std::uint64_t token_id) const {
-  return index_.contains(token_id);
+  return store().peek(slot_key("owner", token_id)).has_value();
 }
 
 std::vector<std::uint64_t> DataNft::provenance(std::uint64_t token_id) const {
+  const SlotReader read = store().committed();
   std::vector<std::uint64_t> order;
   std::set<std::uint64_t> seen;
   std::vector<std::uint64_t> stack{token_id};
@@ -264,10 +187,10 @@ std::vector<std::uint64_t> DataNft::provenance(std::uint64_t token_id) const {
     const std::uint64_t cur = stack.back();
     stack.pop_back();
     if (!seen.insert(cur).second) continue;
-    const auto it = index_.find(cur);
-    if (it == index_.end()) continue;
+    const auto info = read_token(read, cur);
+    if (!info) continue;
     if (cur != token_id) order.push_back(cur);
-    for (const std::uint64_t p : it->second.prev_ids) stack.push_back(p);
+    for (const std::uint64_t p : info->prev_ids) stack.push_back(p);
   }
   std::sort(order.begin(), order.end());
   return order;

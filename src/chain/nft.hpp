@@ -33,6 +33,10 @@ enum class Formula : std::uint8_t {
 
 const char* formula_name(Formula f);
 
+// A token's fields live in DataNFT slots keyed <field>/<id>: owner (an
+// encoded address), uri, datacm, keycm, formula, prevn and prev/<id>/<i>
+// (parents), approved (an encoded address); plus balance/<address> and
+// the "count" of minted ids.
 struct TokenInfo {
   std::uint64_t id = 0;
   Address owner;
@@ -42,6 +46,10 @@ struct TokenInfo {
   Formula formula = Formula::kGenesis;
   std::vector<std::uint64_t> prev_ids;
 };
+
+// The one decoder of a token record (nullopt = never minted or burned).
+[[nodiscard]] std::optional<TokenInfo> read_token(const SlotReader& read,
+                                                  std::uint64_t id);
 
 class DataNft : public Contract {
  public:
@@ -77,7 +85,7 @@ class DataNft : public Contract {
 
   // Unmetered node-RPC views for off-chain users.
   [[nodiscard]] std::optional<TokenInfo> token(std::uint64_t token_id) const;
-  [[nodiscard]] std::uint64_t total_minted() const { return next_id_ - 1; }
+  [[nodiscard]] std::uint64_t total_minted() const;
   [[nodiscard]] bool exists(std::uint64_t token_id) const;
 
   // Walks prevIds[] transitively: the full provenance (ancestor) set of
@@ -85,19 +93,11 @@ class DataNft : public Contract {
   [[nodiscard]] std::vector<std::uint64_t> provenance(
       std::uint64_t token_id) const;
 
- protected:
-  // Rebuilds the RPC mirror (index_, approvals_, next_id_) from restored
-  // contract storage + the chain's event log after a ledger reopen.
-  void on_adopted(const Chain& chain) override;
-
  private:
-  [[nodiscard]] std::string key(const char* field, std::uint64_t id) const;
-
-  std::uint64_t next_id_ = 1;
-  // Owner/approval/prev bookkeeping mirrored off the metered store for
-  // unmetered RPC reads (the store remains the source of truth).
-  std::map<std::uint64_t, TokenInfo> index_;
-  std::map<std::uint64_t, Address> approvals_;
+  // Owner of `token_id` read inside the transaction (nullopt = no such
+  // token).
+  [[nodiscard]] std::optional<Address> owner(CallContext& ctx,
+                                             std::uint64_t token_id) const;
 };
 
 }  // namespace zkdet::chain

@@ -1,80 +1,23 @@
 #include "core/follower_view.hpp"
 
-#include <string>
-
 namespace zkdet::core {
-
-namespace {
-
-const std::string* field(const chain::Event& ev, const char* name) {
-  for (const auto& [k, v] : ev.fields) {
-    if (k == name) return &v;
-  }
-  return nullptr;
-}
-
-}  // namespace
-
-void FollowerReadView::refresh() {
-  const ledger::ReplayImage& image = follower_.image();
-  if (next_block_ > image.blocks.size()) {
-    // A snapshot bootstrap replaced the image wholesale; refold.
-    next_block_ = 0;
-    exchanges_.clear();
-  }
-  for (; next_block_ < image.blocks.size(); ++next_block_) {
-    for (const auto& tx : image.blocks[next_block_].txs) {
-      for (const auto& ev : tx.events) {
-        const std::string* xid = field(ev, "exchangeId");
-        if (xid == nullptr) continue;
-        const std::uint64_t id = std::stoull(*xid);
-        const std::string prefix = "xc/" + std::to_string(id) + "/";
-        if (ev.name == "PaymentLocked") {
-          const std::string* buyer = field(ev, "buyer");
-          const std::string* seller = field(ev, "seller");
-          const std::string* deadline = field(ev, "deadline");
-          if (buyer == nullptr || seller == nullptr || deadline == nullptr) {
-            continue;  // not a KeySecureArbiter lock event
-          }
-          chain::ExchangeInfo info;
-          info.id = id;
-          info.buyer = *buyer;
-          info.seller = *seller;
-          info.deadline = std::stoull(*deadline);
-          if (const auto v = slot(prefix + "hv")) info.h_v = *v;
-          if (const auto v = slot(prefix + "c")) info.key_commitment = *v;
-          if (const auto v = slot(prefix + "amount")) {
-            info.amount = v->to_canonical().limb[0];
-          }
-          info.state = chain::ExchangeState::kLocked;
-          exchanges_[id] = std::move(info);
-        } else if (ev.name == "ExchangeSettled") {
-          const auto it = exchanges_.find(id);
-          if (it == exchanges_.end()) continue;
-          it->second.state = chain::ExchangeState::kSettled;
-          if (const auto v = slot(prefix + "kc")) it->second.k_c = *v;
-        } else if (ev.name == "ExchangeRefunded") {
-          const auto it = exchanges_.find(id);
-          if (it != exchanges_.end()) {
-            it->second.state = chain::ExchangeState::kRefunded;
-          }
-        }
-      }
-    }
-  }
-}
 
 std::optional<chain::ExchangeInfo> FollowerReadView::exchange(
     std::uint64_t id) const {
-  const auto it = exchanges_.find(id);
-  if (it == exchanges_.end()) return std::nullopt;
-  return it->second;
+  for (const auto& [addr, rc] : follower_.image().contracts) {
+    if (rc.name != chain::KeySecureArbiter::kName) continue;
+    if (auto x = chain::read_exchange(chain::slot_reader(rc.slots), id)) {
+      return x;
+    }
+  }
+  return std::nullopt;
 }
 
 std::optional<chain::ExchangeInfo> FollowerReadView::find_by_hv(
     const chain::Fr& h_v) const {
-  for (const auto& [id, info] : exchanges_) {
-    if (info.h_v == h_v) return info;
+  for (const auto& [addr, rc] : follower_.image().contracts) {
+    if (rc.name != chain::KeySecureArbiter::kName) continue;
+    if (auto x = chain::find_exchange_by_hv(rc.slots, h_v)) return x;
   }
   return std::nullopt;
 }
@@ -87,14 +30,6 @@ std::uint64_t FollowerReadView::balance(const chain::Address& addr) const {
   const auto& balances = follower_.image().balances;
   const auto it = balances.find(addr);
   return it == balances.end() ? 0 : it->second;
-}
-
-std::optional<chain::Fr> FollowerReadView::slot(const std::string& key) const {
-  for (const auto& [addr, rc] : follower_.image().contracts) {
-    const auto it = rc.slots.find(key);
-    if (it != rc.slots.end()) return it->second;
-  }
-  return std::nullopt;
 }
 
 }  // namespace zkdet::core

@@ -2,15 +2,14 @@
 //
 // A replication follower holds a ledger::ReplayImage — block history,
 // balances and contract KV slots — but no live Contract objects: the
-// follower never executes, it only folds verified records. This view
-// answers the read-side queries exchange clients actually issue
-// (exchange status by id, recovery lookup by h_v, balances) directly
-// off the image, by folding the same PaymentLocked / ExchangeSettled /
-// ExchangeRefunded events and xc/<id>/* slots KeySecureArbiter's
-// on_adopted folds on the primary.
+// follower never executes, it only folds verified records. Contract
+// slots are the only copy of contract state, so this view answers the
+// read-side queries exchange clients actually issue (exchange status by
+// id, recovery lookup by h_v, balances) by decoding the image's
+// KeySecureArbiter slots with the same chain::read_exchange the primary
+// uses.
 //
-// Prefix-consistency guarantee: refresh() folds whole blocks of the
-// follower's image, and the follower applies records atomically
+// Prefix-consistency guarantee: the follower applies records atomically
 // between pumps, so every answer this view returns is the primary's
 // state as of some block the primary actually sealed — a stale prefix,
 // never a mix of two states and never a state the primary's chain
@@ -18,7 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 
 #include "chain/arbiter.hpp"
@@ -31,10 +29,6 @@ class FollowerReadView {
   explicit FollowerReadView(const replication::Follower& follower)
       : follower_(follower) {}
 
-  // Folds blocks the follower applied since the last refresh (or all
-  // of them after a snapshot bootstrap rewound the cursor).
-  void refresh();
-
   // KeySecureArbiter-compatible reads (any shard; ids are global).
   [[nodiscard]] std::optional<chain::ExchangeInfo> exchange(
       std::uint64_t id) const;
@@ -45,14 +39,7 @@ class FollowerReadView {
   [[nodiscard]] std::uint64_t balance(const chain::Address& addr) const;
 
  private:
-  // First Fr stored under `key` across the image's contracts (slot
-  // keys are prefixed with globally-unique exchange ids, so at most
-  // one contract holds any xc/<id>/* key).
-  [[nodiscard]] std::optional<chain::Fr> slot(const std::string& key) const;
-
   const replication::Follower& follower_;
-  std::size_t next_block_ = 0;
-  std::map<std::uint64_t, chain::ExchangeInfo> exchanges_;
 };
 
 }  // namespace zkdet::core

@@ -80,19 +80,16 @@ void Ledger::open_and_replay() {
 
   ReplayImage& st = loaded.image;
   if (st.has_history()) {
-    if (opts_.verify_signatures) {
-      // The snapshot prefix is trusted; everything recovered from the
-      // WAL (blocks [first_wal_block, end)) is not.
-      std::vector<const chain::TxRecord*> to_verify;
-      for (std::size_t b = loaded.first_wal_block; b < st.blocks.size();
-           ++b) {
-        for (const auto& tx : st.blocks[b].txs) {
-          if (tx.has_sig) to_verify.push_back(&tx);
-        }
+    // The snapshot prefix is trusted; everything recovered from the WAL
+    // (blocks [first_wal_block, end)) is not.
+    std::vector<const chain::TxRecord*> to_verify;
+    for (std::size_t b = loaded.first_wal_block; b < st.blocks.size(); ++b) {
+      for (const auto& tx : st.blocks[b].txs) {
+        if (tx.has_sig) to_verify.push_back(&tx);
       }
-      if (!to_verify.empty()) {
-        verify_replayed_signatures(to_verify, st.account_keys);
-      }
+    }
+    if (!to_verify.empty()) {
+      verify_replayed_signatures(to_verify, st.account_keys);
     }
     chain_.restore_state(std::move(st.blocks), std::move(st.balances),
                          std::move(st.account_keys), std::move(st.contracts));

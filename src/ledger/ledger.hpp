@@ -44,8 +44,6 @@ class Writer;  // codec.hpp
 struct Options {
   // Snapshot after this many sealed blocks (0 = never snapshot).
   std::uint64_t snapshot_interval = 1024;
-  // Re-verify tx signatures of WAL-replayed blocks on open.
-  bool verify_signatures = true;
   // fsync the WAL after every record (full durability). Off = batched
   // durability for bulk loads; data loss window until next sync().
   bool fsync_each_append = true;

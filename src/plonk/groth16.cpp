@@ -127,38 +127,52 @@ std::optional<KeyPairResult> setup(const ConstraintSystem& cs,
   pk.beta_g2 = ec::g2_mul_generator(beta);
   pk.delta_g2 = ec::g2_mul_generator(delta);
 
-  pk.a_query.reserve(r1cs.num_vars);
-  pk.b_g1_query.reserve(r1cs.num_vars);
-  pk.b_g2_query.reserve(r1cs.num_vars);
+  // Every query is computed Jacobian and batch-normalised once here
+  // (identity-safe: a variable absent from A or B gives the identity).
+  std::vector<G1> a_query;
+  std::vector<G1> b_g1_query;
+  std::vector<G2> b_g2_query;
+  a_query.reserve(r1cs.num_vars);
+  b_g1_query.reserve(r1cs.num_vars);
+  b_g2_query.reserve(r1cs.num_vars);
   for (std::size_t i = 0; i < r1cs.num_vars; ++i) {
-    pk.a_query.push_back(ec::g1_mul_generator(at[i]));
-    pk.b_g1_query.push_back(ec::g1_mul_generator(bt[i]));
-    pk.b_g2_query.push_back(ec::g2_mul_generator(bt[i]));
+    a_query.push_back(ec::g1_mul_generator(at[i]));
+    b_g1_query.push_back(ec::g1_mul_generator(bt[i]));
+    b_g2_query.push_back(ec::g2_mul_generator(bt[i]));
   }
+  pk.a_query = ec::batch_normalize(a_query);
+  pk.b_g1_query = ec::batch_normalize(b_g1_query);
+  pk.b_g2_query = ec::batch_normalize(b_g2_query);
 
   VerifyingKey vk;
   vk.alpha_g1 = pk.alpha_g1;
   vk.beta_g2 = pk.beta_g2;
   vk.gamma_g2 = ec::g2_mul_generator(gamma);
   vk.delta_g2 = pk.delta_g2;
-  vk.ic.reserve(r1cs.num_statement);
+  std::vector<G1> ic;
+  ic.reserve(r1cs.num_statement);
   for (std::size_t i = 0; i < r1cs.num_statement; ++i) {
-    vk.ic.push_back(ec::g1_mul_generator(
+    ic.push_back(ec::g1_mul_generator(
         (beta * at[i] + alpha * bt[i] + ct[i]) * gamma_inv));
   }
+  vk.ic = ec::batch_normalize(ic);
 
-  pk.l_query.reserve(r1cs.num_vars - r1cs.num_statement);
+  std::vector<G1> l_query;
+  l_query.reserve(r1cs.num_vars - r1cs.num_statement);
   for (std::size_t i = r1cs.num_statement; i < r1cs.num_vars; ++i) {
-    pk.l_query.push_back(ec::g1_mul_generator(
+    l_query.push_back(ec::g1_mul_generator(
         (beta * at[i] + alpha * bt[i] + ct[i]) * delta_inv));
   }
+  pk.l_query = ec::batch_normalize(l_query);
 
-  pk.h_query.reserve(n - 1);
+  std::vector<G1> h_query;
+  h_query.reserve(n - 1);
   Fr tau_pow = Fr::one();
   for (std::size_t i = 0; i + 1 < n; ++i) {
-    pk.h_query.push_back(ec::g1_mul_generator(tau_pow * z_tau * delta_inv));
+    h_query.push_back(ec::g1_mul_generator(tau_pow * z_tau * delta_inv));
     tau_pow *= tau;
   }
+  pk.h_query = ec::batch_normalize(h_query);
 
   pk.vk = vk;
   return KeyPairResult{std::move(pk), std::move(vk)};
@@ -234,7 +248,7 @@ std::optional<Proof> prove(const ProvingKey& pk, const ConstraintSystem& cs,
   const std::span<const Fr> aux(w.data() + pk.num_statement,
                                 w.size() - pk.num_statement);
   const G1 sum_l = ec::msm(aux, pk.l_query);
-  const G1 sum_h = ec::msm(h, std::span<const G1>(pk.h_query.data(), h.size()));
+  const G1 sum_h = ec::msm(h, pk.h_query);
   proof.c = sum_l + sum_h + proof.a.mul(s) + b_g1.mul(r) -
             pk.delta_g1.mul(r * s);
   return proof;
@@ -248,9 +262,9 @@ bool verify(const VerifyingKey& vk, const std::vector<Fr>& public_inputs,
   }
   // vk_x = IC_0 + sum_i x_i IC_i — the ell-term MSM that makes Groth16
   // verification grow with the statement (ZKDET's Fig. 7 argument).
-  G1 vk_x = vk.ic[0];
-  vk_x += ec::msm(public_inputs,
-                  std::span<const G1>(vk.ic.data() + 1, public_inputs.size()));
+  const G1 vk_x =
+      vk.ic[0].to_jacobian() +
+      ec::msm(public_inputs, std::span<const G1Affine>(vk.ic).subspan(1));
   // e(A,B) = e(alpha,beta) e(vk_x,gamma) e(C,delta)
   const std::pair<ec::G1, ec::G2> pairs[4] = {
       {proof.a, proof.b},

@@ -23,7 +23,9 @@
 namespace zkdet::plonk::groth16 {
 
 using ec::G1;
+using ec::G1Affine;
 using ec::G2;
+using ec::G2Affine;
 using ff::Fr;
 
 struct Proof {
@@ -41,7 +43,7 @@ struct VerifyingKey {
   G2 beta_g2;
   G2 gamma_g2;
   G2 delta_g2;
-  std::vector<G1> ic;  // [(beta A_i + alpha B_i + C_i)/gamma]_1, statement vars
+  std::vector<G1Affine> ic;  // [(beta A_i + alpha B_i + C_i)/gamma]_1, statement vars
 };
 
 struct ProvingKey {
@@ -51,11 +53,12 @@ struct ProvingKey {
 
   G1 alpha_g1, beta_g1, delta_g1;
   G2 beta_g2, delta_g2;
-  std::vector<G1> a_query;   // [A_i(tau)]_1, all variables
-  std::vector<G1> b_g1_query;
-  std::vector<G2> b_g2_query;
-  std::vector<G1> l_query;   // [(beta A_i + alpha B_i + C_i)/delta]_1, aux vars
-  std::vector<G1> h_query;   // [tau^i Z(tau)/delta]_1
+  // MSM bases, stored affine (batch-normalised once by setup).
+  std::vector<G1Affine> a_query;   // [A_i(tau)]_1, all variables
+  std::vector<G1Affine> b_g1_query;
+  std::vector<G2Affine> b_g2_query;
+  std::vector<G1Affine> l_query;   // [(beta A_i + alpha B_i + C_i)/delta]_1, aux vars
+  std::vector<G1Affine> h_query;   // [tau^i Z(tau)/delta]_1
 
   VerifyingKey vk;
 };

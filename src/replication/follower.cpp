@@ -6,8 +6,8 @@
 
 namespace zkdet::replication {
 
-Follower::Follower(std::string dir, Link& link, Config cfg)
-    : dir_(std::move(dir)), link_(link), cfg_(cfg) {
+Follower::Follower(std::string dir, Link& link)
+    : dir_(std::move(dir)), link_(link) {
   // verify_hashes on: a follower never trusts its own disk more than it
   // trusts the stream — a forked image must not come back from a crash.
   auto loaded = ledger::load_dir(dir_, /*verify_hashes=*/true);

@@ -40,16 +40,9 @@ namespace zkdet::replication {
 
 class Follower {
  public:
-  struct Config {
-    // fsync after each pump's batch of applied records (durability of
-    // the ack). Off only for bulk catch-up benchmarks.
-    bool fsync_on_apply = true;
-  };
-
   // Loads `dir` (fresh or a previous follower incarnation's state) and
   // announces its watermark so the shipper knows where to start.
-  Follower(std::string dir, Link& link, Config cfg);
-  Follower(std::string dir, Link& link) : Follower(std::move(dir), link, Config{}) {}
+  Follower(std::string dir, Link& link);
 
   // Drains the link: applies records/snapshots, sends one consolidated
   // ack. Throws CrashInjected when the repl.follower.crash fail-point
@@ -92,7 +85,6 @@ class Follower {
 
   const std::string dir_;
   Link& link_;
-  const Config cfg_;
   mutable Mutex mu_{check::LockLevel::kReplFollower, "repl.follower"};
   ledger::ReplayImage image_ ZKDET_GUARDED_BY(mu_);
   // Last sequence on this follower's disk covered by an fsync; what

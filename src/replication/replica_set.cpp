@@ -32,13 +32,13 @@ TransportKind resolve_transport(TransportKind kind) {
 
 ReplicaSet::ReplicaSet(ledger::Ledger& ledger, const chain::Chain& chain,
                        std::string base_dir, std::size_t replicas, Config cfg)
-    : shipper_(ledger, chain, cfg.shipper), cfg_(cfg) {
+    : shipper_(ledger, chain, cfg.shipper) {
   const TransportKind kind = resolve_transport(cfg.transport);
   for (std::size_t i = 0; i < replicas; ++i) {
     dirs_.push_back(base_dir + "/r" + std::to_string(i));
     links_.push_back(make_link(kind));
     followers_.push_back(
-        std::make_unique<Follower>(dirs_[i], *links_[i], cfg_.follower));
+        std::make_unique<Follower>(dirs_[i], *links_[i]));
     shipper_.add_follower(*links_[i]);
   }
 }
@@ -84,7 +84,7 @@ bool ReplicaSet::final_sync(runtime::BackoffPolicy policy) {
 void ReplicaSet::restart_follower(std::size_t i) {
   auto& slot = followers_.at(i);
   slot.reset();  // release the old incarnation's WAL write head first
-  slot = std::make_unique<Follower>(dirs_[i], *links_[i], cfg_.follower);
+  slot = std::make_unique<Follower>(dirs_[i], *links_[i]);
 }
 
 std::string ReplicaSet::promote(std::size_t i) {

@@ -49,7 +49,6 @@ class ReplicaSet {
  public:
   struct Config {
     Shipper::Config shipper;
-    Follower::Config follower;
     TransportKind transport = TransportKind::kDefault;
   };
 
@@ -101,7 +100,6 @@ class ReplicaSet {
 
  private:
   Shipper shipper_;
-  Config cfg_;
   std::vector<std::string> dirs_;
   std::vector<std::unique_ptr<Link>> links_;
   std::vector<std::unique_ptr<Follower>> followers_;

@@ -93,7 +93,6 @@ Response Dispatcher::handle_serial(const Request& rq) {
     case Op::kReadExchange: {
       std::optional<chain::ExchangeInfo> xinfo;
       if (reads_ != nullptr) {
-        reads_->refresh();
         xinfo = reads_->exchange(rq.a);
       } else if (rq.a >= 1) {
         xinfo = sys_.arbiter_for_exchange(rq.a).exchange(rq.a);
@@ -110,7 +109,6 @@ Response Dispatcher::handle_serial(const Request& rq) {
       if (p == nullptr) return reject(rq, "unknown client handle");
       Response rs = ok(rq);
       if (reads_ != nullptr) {
-        reads_->refresh();
         rs.value = reads_->balance(p->addr);
         rs.aux = reads_->height();
       } else {

@@ -314,6 +314,146 @@ TEST_F(ArbiterFixture, ZkcpOpenWithWrongKeyRejected) {
   EXPECT_FALSE(r.success);
 }
 
+// A reverted transaction leaves no contract state behind: the exchange
+// record lives only in contract storage, which a revert discards with
+// the transaction's balance moves.
+TEST(ArbiterRevert, OutOfGasLockLeavesNothingToRefund) {
+  Drbg rng{31};
+  Chain chain;
+  const KeyPair honest_keys = KeyPair::generate(rng);
+  const KeyPair attacker_keys = KeyPair::generate(rng);
+  const KeyPair seller_keys = KeyPair::generate(rng);
+  const Address honest = chain.create_account(honest_keys, 1'000);
+  const Address attacker = chain.create_account(attacker_keys, 1'000);
+  const Address seller = chain.create_account(seller_keys, 0);
+  auto& verifier = chain.deploy<PlonkVerifierContract>(
+      honest_keys, nullptr, plonk::VerifyingKey{}, "PlonkVerifier(stub)");
+  auto& arb = chain.deploy<KeySecureArbiter>(honest_keys, nullptr, verifier);
+  const auto lock = [&](const KeyPair& who, const Address& pay_to,
+                        std::uint64_t gas_limit) {
+    return chain.call(
+        who, "lock",
+        [&](CallContext& ctx) {
+          arb.lock(ctx, pay_to, Fr::from_u64(5), Fr::from_u64(6),
+                   /*timeout_blocks=*/1);
+        },
+        700, arb.address(), gas_limit);
+  };
+  ASSERT_TRUE(lock(honest_keys, seller, 30'000'000).success);
+  const Receipt oog = lock(attacker_keys, attacker, 22'000);
+  EXPECT_FALSE(oog.success);
+  EXPECT_EQ(oog.error, "out of gas");
+  EXPECT_FALSE(arb.exchange(2).has_value());
+  EXPECT_EQ(chain.balance(arb.address()), 700u);
+
+  chain.advance_blocks(2);
+  const Receipt steal = chain.call(
+      attacker_keys, "refund", [&](CallContext& ctx) { arb.refund(ctx, 2); });
+  EXPECT_FALSE(steal.success);
+  EXPECT_NE(steal.error.find("no such exchange"), std::string::npos)
+      << steal.error;
+  EXPECT_EQ(chain.balance(attacker), 1'000u);
+  EXPECT_EQ(chain.balance(arb.address()), 700u);
+
+  // The honest escrow is intact and still refundable by its buyer.
+  ASSERT_TRUE(arb.exchange(1).has_value());
+  EXPECT_EQ(arb.exchange(1)->state, ExchangeState::kLocked);
+  EXPECT_EQ(arb.exchange(1)->amount, 700u);
+  const Receipt refund = chain.call(
+      honest_keys, "refund", [&](CallContext& ctx) { arb.refund(ctx, 1); });
+  EXPECT_TRUE(refund.success) << refund.error;
+  EXPECT_EQ(chain.balance(honest), 1'000u);
+  EXPECT_EQ(chain.balance(arb.address()), 0u);
+}
+
+TEST(ArbiterRevert, OutOfGasZkcpLockLeavesNothingToOpen) {
+  Drbg rng{37};
+  Chain chain;
+  const KeyPair honest_keys = KeyPair::generate(rng);
+  const KeyPair attacker_keys = KeyPair::generate(rng);
+  const KeyPair seller_keys = KeyPair::generate(rng);
+  chain.create_account(honest_keys, 1'000);
+  const Address attacker = chain.create_account(attacker_keys, 1'000);
+  const Address seller = chain.create_account(seller_keys, 0);
+  auto& arb = chain.deploy<ZkcpArbiter>(honest_keys, nullptr);
+  const Fr key = Fr::from_u64(99);
+  const Fr key_hash = crypto::poseidon_hash({key}, core::kKeyHashTag);
+  const auto lock = [&](const KeyPair& who, const Address& pay_to,
+                        std::uint64_t gas_limit) {
+    return chain.call(
+        who, "zkcp-lock",
+        [&](CallContext& ctx) { arb.lock(ctx, pay_to, key_hash); }, 500,
+        arb.address(), gas_limit);
+  };
+  ASSERT_TRUE(lock(honest_keys, seller, 30'000'000).success);
+  const Receipt oog = lock(attacker_keys, attacker, 22'000);
+  EXPECT_FALSE(oog.success);
+  EXPECT_EQ(oog.error, "out of gas");
+  EXPECT_FALSE(arb.exchange(2).has_value());
+
+  const Receipt steal = chain.call(
+      attacker_keys, "zkcp-open",
+      [&](CallContext& ctx) { arb.open(ctx, 2, key); });
+  EXPECT_FALSE(steal.success);
+  EXPECT_NE(steal.error.find("no such exchange"), std::string::npos)
+      << steal.error;
+  EXPECT_EQ(chain.balance(attacker), 1'000u);
+  EXPECT_EQ(chain.balance(arb.address()), 500u);
+  ASSERT_TRUE(arb.exchange(1).has_value());
+  EXPECT_EQ(arb.exchange(1)->state, ExchangeState::kLocked);
+  EXPECT_EQ(arb.exchange(1)->amount, 500u);
+}
+
+TEST_F(ArbiterFixture, OutOfGasSettleLeavesExchangeLockedAndRefundable) {
+  // A fresh arbiter, so both exchange ids have the same decimal length:
+  // settle gas depends on the id only through the event's bytes.
+  auto& arb = sys().chain().deploy<KeySecureArbiter>(buyer_keys, nullptr,
+                                                     sys().key_verifier());
+  const auto lock_on = [&](const Fr& h_v) {
+    std::uint64_t id = 0;
+    const Receipt r = sys().chain().call(
+        buyer_keys, "lock",
+        [&](CallContext& ctx) {
+          id = arb.lock(ctx, seller, h_v, key_cm, /*timeout_blocks=*/3);
+        },
+        700, arb.address());
+    EXPECT_TRUE(r.success) << r.error;
+    return id;
+  };
+  const auto settle = [&](std::uint64_t id, const Fr& k_v,
+                          std::uint64_t gas_limit) {
+    auto proof = prove_key(k_v);
+    EXPECT_TRUE(proof);
+    return sys().chain().call(
+        seller_keys, "settle",
+        [&](CallContext& ctx) { arb.settle(ctx, id, k + k_v, *proof); }, 0,
+        {}, gas_limit);
+  };
+  const Fr kv_ref = rng.random_fr();
+  const Fr kv = rng.random_fr();
+  const std::uint64_t ref = lock_on(hash_key(kv_ref));
+  const std::uint64_t id = lock_on(hash_key(kv));
+  ASSERT_EQ(std::to_string(ref).size(), std::to_string(id).size());
+  const Receipt honest = settle(ref, kv_ref, 30'000'000);
+  ASSERT_TRUE(honest.success) << honest.error;
+
+  const std::uint64_t seller_before = sys().chain().balance(seller);
+  const Receipt oog = settle(id, kv, honest.gas_used - 1);
+  EXPECT_FALSE(oog.success);
+  EXPECT_EQ(oog.error, "out of gas");
+  EXPECT_EQ(arb.exchange(id)->state, ExchangeState::kLocked);
+  EXPECT_EQ(sys().chain().balance(seller), seller_before);
+  EXPECT_EQ(sys().chain().balance(arb.address()), 700u);
+
+  sys().chain().advance_blocks(5);
+  const std::uint64_t buyer_before = sys().chain().balance(buyer);
+  const Receipt refund = sys().chain().call(
+      buyer_keys, "refund", [&](CallContext& ctx) { arb.refund(ctx, id); });
+  EXPECT_TRUE(refund.success) << refund.error;
+  EXPECT_EQ(sys().chain().balance(buyer), buyer_before + 700);
+  EXPECT_EQ(arb.exchange(id)->state, ExchangeState::kRefunded);
+}
+
 TEST_F(ArbiterFixture, VerifierContractChargesGas) {
   const Fr k_v = rng.random_fr();
   gadgets::CircuitBuilder bld = build_key_circuit(k, o, k_v);
@@ -758,11 +898,12 @@ TEST(BatchedArbiterCrash, SealCrashMidBatchRecoversAndSettlesOnce) {
     const fault::ScopedFaults guard;
     fault::inject(fault::points::kTxpoolSealCrash, fault::Schedule::once());
     EXPECT_THROW(sys.pool().seal_next_batch(), ledger::CrashInjected);
-    // Nothing reached chain state or the WAL: the escrows are intact.
-    // (The arbiter's in-memory exchange mirror is NOT authoritative
-    // here — it is rebuilt from chain state on reopen below.)
+    // Nothing reached chain state or the WAL: the escrows are intact
+    // and both exchanges still read Locked.
     for (std::size_t s = 0; s < kShards; ++s) {
       EXPECT_EQ(sys.chain().balance(sellers[s]), sellers_before[s]);
+      EXPECT_EQ(sys.arbiter_for_exchange(ids[s]).exchange(ids[s])->state,
+                ExchangeState::kLocked);
     }
   }
   // "Reboot": reopen the ledger; the locks survived, the dead batch

@@ -224,6 +224,30 @@ TEST_F(ChainFixture, MeteredStoreGasSemantics) {
   EXPECT_EQ(read, chain.gas_schedule().sload);
 }
 
+TEST(AddressCodec, RoundTripsAccountAndContractAddresses) {
+  Drbg rng{3};
+  const Address account = crypto::address_of(KeyPair::generate(rng).pk);
+  EXPECT_EQ(decode_address(encode_address(account)), account);
+  for (const Address& contract :
+       {Address("ct:KeySecureArbiter#12"), Address("ct:ClockAuction#4"),
+        "ct:" + std::string(30, 'x')}) {
+    EXPECT_EQ(decode_address(encode_address(contract)), contract);
+  }
+  EXPECT_NE(encode_address("ct:DataNFT#1"), encode_address("ct:DataNFT#2"));
+  EXPECT_NE(encode_address(account), encode_address("ct:DataNFT#1"));
+}
+
+TEST(AddressCodec, RejectsWhatItCannotPackReversibly) {
+  EXPECT_THROW((void)encode_address("ct:" + std::string(31, 'x')), Revert);
+  EXPECT_THROW((void)encode_address("0x" + std::string(42, 'a')), Revert);
+  // Uppercase hex would decode to lowercase, not to itself.
+  EXPECT_THROW((void)encode_address("0x" + std::string(40, 'A')), Revert);
+  EXPECT_THROW((void)encode_address("0xnobody"), Revert);
+  EXPECT_THROW((void)encode_address("ct:"), Revert);
+  EXPECT_THROW((void)encode_address(""), Revert);
+  EXPECT_THROW((void)decode_address(Fr::from_u64(7)), Revert);
+}
+
 TEST_F(ChainFixture, DeploymentGasFollowsCodeSize) {
   Receipt receipt;
   chain.deploy<DataNft>(alice_keys, &receipt);
@@ -291,6 +315,12 @@ TEST_F(NftFixture, ApprovedOperatorMayTransfer) {
     nft.transfer_from(ctx, bob, alice, id);
   });
   EXPECT_TRUE(r2.success);  // bob owns it now, fine
+  // Alice owns it again; bob's old approval must not let him take it.
+  const Receipt r3 = chain.call(bob_keys, "xfer3", [&](CallContext& ctx) {
+    nft.transfer_from(ctx, alice, bob, id);
+  });
+  EXPECT_FALSE(r3.success);
+  EXPECT_EQ(nft.token(id)->owner, alice);
 }
 
 TEST_F(NftFixture, BurnRemovesToken) {
@@ -448,6 +478,81 @@ TEST_F(AuctionFixture, BidOnClosedAuctionRejected) {
       bob_keys, "bid2", [&](CallContext& ctx) { auction.bid(ctx, id); }, 50,
       auction.address());
   EXPECT_FALSE(r.success);
+}
+
+// Contract storage is the whole contract state: a reopened ledger hands
+// the re-deployed NFT and auction their slots, and an open auction, a
+// pending approval and the token id counter carry on across the restart.
+TEST(ContractReopen, NftAndAuctionStateCarriesOn) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("zkdet-chain-reopen-" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  Drbg rng{5};
+  const KeyPair alice_keys = KeyPair::generate(rng);
+  const KeyPair bob_keys = KeyPair::generate(rng);
+  const Address alice = crypto::address_of(alice_keys.pk);
+  const Address bob = crypto::address_of(bob_keys.pk);
+  const auto mint = [&](Chain& chain, DataNft& nft) {
+    std::uint64_t id = 0;
+    chain.call(alice_keys, "mint", [&](CallContext& ctx) {
+      id = nft.mint(ctx, Fr::from_u64(1), Fr::from_u64(2), Fr::from_u64(3));
+    });
+    return id;
+  };
+  {
+    Chain chain;
+    ledger::Ledger ledger(chain, dir.string());
+    chain.create_account(alice_keys, 1000);
+    chain.create_account(bob_keys, 1000);
+    auto& nft = chain.deploy<DataNft>(alice_keys, nullptr);
+    auto& auction = chain.deploy<ClockAuction>(alice_keys, nullptr, nft);
+    ASSERT_EQ(mint(chain, nft), 1u);
+    ASSERT_EQ(mint(chain, nft), 2u);
+    ASSERT_TRUE(chain.call(alice_keys, "approve-auction", [&](CallContext& ctx) {
+      nft.approve(ctx, auction.address(), 1);
+    }).success);
+    ASSERT_TRUE(chain.call(alice_keys, "list", [&](CallContext& ctx) {
+      auction.create(ctx, 1, 400, 100, 50);
+    }).success);
+    ASSERT_TRUE(chain.call(alice_keys, "approve-bob", [&](CallContext& ctx) {
+      nft.approve(ctx, bob, 2);
+    }).success);
+  }
+  Chain chain;
+  ledger::Ledger ledger(chain, dir.string());
+  chain.create_account(alice_keys, 1000);
+  chain.create_account(bob_keys, 1000);
+  auto& nft = chain.deploy<DataNft>(alice_keys, nullptr);
+  auto& auction = chain.deploy<ClockAuction>(alice_keys, nullptr, nft);
+  EXPECT_EQ(nft.total_minted(), 2u);
+  EXPECT_EQ(nft.token(1)->owner, auction.address());
+  const auto listed = auction.auction(1);
+  ASSERT_TRUE(listed.has_value());
+  EXPECT_TRUE(listed->open);
+  EXPECT_EQ(listed->seller, alice);
+  EXPECT_EQ(listed->token_id, 1u);
+  EXPECT_EQ(listed->start_price, 400u);
+  EXPECT_EQ(listed->floor_price, 100u);
+  EXPECT_EQ(listed->decay_per_block, 50u);
+
+  // Bob's pending approval still lets him take token 2.
+  EXPECT_TRUE(chain.call(bob_keys, "take", [&](CallContext& ctx) {
+    nft.transfer_from(ctx, alice, bob, 2);
+  }).success);
+  EXPECT_EQ(nft.token(2)->owner, bob);
+  // The auction still sells at its clock price.
+  const std::uint64_t price = auction.current_price(1, chain.height());
+  EXPECT_LT(price, 400u);
+  const std::uint64_t alice_before = chain.balance(alice);
+  EXPECT_TRUE(chain.call(
+      bob_keys, "bid", [&](CallContext& ctx) { auction.bid(ctx, 1); }, price,
+      auction.address()).success);
+  EXPECT_EQ(nft.token(1)->owner, bob);
+  EXPECT_EQ(chain.balance(alice), alice_before + price);
+  EXPECT_EQ(auction.auction(1)->winner, bob);
+  EXPECT_EQ(mint(chain, nft), 3u);
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

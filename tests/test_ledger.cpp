@@ -10,6 +10,7 @@
 #include <filesystem>
 
 #include "chain/chain.hpp"
+#include "chain/nft.hpp"
 #include "crypto/rng.hpp"
 #include "crypto/schnorr.hpp"
 #include "fault/fault.hpp"
@@ -358,6 +359,51 @@ TEST(Ledger, FreshDirThenReopenRebuildsByteIdenticalChain) {
     // Adoption must not have sealed a duplicate deploy block.
     EXPECT_EQ(w.chain.blocks().back().hash, tip);
   }
+}
+
+// A mint that runs out of gas consumes no token id: the id counter is
+// contract storage, so the live chain and a chain reopened from the
+// ledger hand out the same next id.
+TEST(Ledger, RevertedMintConsumesNoTokenId) {
+  TempDir dir;
+  TempDir copy;
+  const auto mint = [](LedgerWorld& w, chain::DataNft& nft,
+                       std::uint64_t gas_limit, std::uint64_t* id) {
+    return w.chain.call(
+        w.alice, "mint",
+        [&](chain::CallContext& ctx) {
+          *id = nft.mint(ctx, Fr::from_u64(1), Fr::from_u64(2),
+                         Fr::from_u64(3));
+        },
+        0, {}, gas_limit);
+  };
+  std::uint64_t live_id = 0;
+  {
+    LedgerWorld w;
+    Ledger ledger(w.chain, dir.str());
+    w.chain.create_account(w.alice, 1000);
+    auto& nft = w.chain.deploy<chain::DataNft>(w.alice, nullptr);
+    std::uint64_t id = 0;
+    ASSERT_TRUE(mint(w, nft, 30'000'000, &id).success);
+    EXPECT_EQ(id, 1u);
+    const chain::Receipt oog = mint(w, nft, 22'000, &id);
+    EXPECT_FALSE(oog.success);
+    EXPECT_EQ(oog.error, "out of gas");
+    EXPECT_EQ(nft.total_minted(), 1u);
+    EXPECT_FALSE(nft.exists(2));
+    std::filesystem::copy(dir.path, copy.path,
+                          std::filesystem::copy_options::recursive);
+    ASSERT_TRUE(mint(w, nft, 30'000'000, &live_id).success);
+    EXPECT_EQ(live_id, 2u);
+  }
+  LedgerWorld w;
+  Ledger ledger(w.chain, copy.str());
+  w.chain.create_account(w.alice, 1000);
+  auto& nft = w.chain.deploy<chain::DataNft>(w.alice, nullptr);
+  EXPECT_EQ(nft.total_minted(), 1u);
+  std::uint64_t reopened_id = 0;
+  ASSERT_TRUE(mint(w, nft, 30'000'000, &reopened_id).success);
+  EXPECT_EQ(reopened_id, live_id);
 }
 
 TEST(Ledger, IdempotentAccountReplayDoesNotDoubleCredit) {

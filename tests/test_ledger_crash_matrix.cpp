@@ -149,7 +149,6 @@ void expect_equal(const FinalState& got, const FinalState& want,
 Options matrix_options() {
   Options opts;
   opts.snapshot_interval = 4;  // several snapshots inside the script
-  opts.verify_signatures = true;
   opts.fsync_each_append = true;
   return opts;
 }

@@ -185,7 +185,6 @@ void expect_final(const FinalState& got, const FinalState& want,
 ledger::Options matrix_options() {
   ledger::Options opts;
   opts.snapshot_interval = 4;  // snapshots + segment GC inside the script
-  opts.verify_signatures = true;
   opts.fsync_each_append = true;
   return opts;
 }

@@ -555,7 +555,6 @@ TEST(FollowerReadView, NeverObservesAStateThePrimaryNeverHad) {
   // through — a stale prefix is fine, an invented mix is not.
   for (int round = 0; round < 300; ++round) {
     reps.pump();
-    view.refresh();
     const std::uint64_t h = view.height();
     EXPECT_LE(h, chain.height());
     if (h > 0) {
@@ -577,7 +576,6 @@ TEST(FollowerReadView, NeverObservesAStateThePrimaryNeverHad) {
     if (reps.shipper().all_caught_up()) break;
   }
   ASSERT_TRUE(reps.sync());
-  view.refresh();
   const auto final_view = view.exchange(1);
   ASSERT_TRUE(final_view.has_value());
   EXPECT_EQ(final_view->state, chain::ExchangeState::kRefunded);

@@ -44,7 +44,8 @@ bool oracle_verify(const groth16::VerifyingKey& vk, const std::vector<Fr>& pub,
   }
   if (!oracle::in_g2_subgroup_by_order(proof.b)) return false;
   const G1 vk_x =
-      vk.ic[0] + ec::msm(pub, std::span<const G1>(vk.ic.data() + 1, pub.size()));
+      vk.ic[0].to_jacobian() +
+      ec::msm(pub, std::span<const ec::G1Affine>(vk.ic.data() + 1, pub.size()));
   const std::pair<G1, G2> pairs[4] = {{proof.a, proof.b},
                                       {-vk.alpha_g1, vk.beta_g2},
                                       {-vk_x, vk.gamma_g2},
