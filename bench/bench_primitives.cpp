@@ -26,6 +26,7 @@
 #include "crypto/mimc.hpp"
 #include "crypto/poseidon.hpp"
 #include "crypto/rng.hpp"
+#include "crypto/schnorr.hpp"
 #include "crypto/sha256.hpp"
 #include "ec/msm.hpp"
 #include "ec/pairing.hpp"
@@ -240,6 +241,48 @@ BENCHMARK(BM_Msm)
     ->Arg(8195)
     ->Arg(16384)
     ->Complexity();
+
+// Below the bucket threshold: the Schnorr verifier's e*pk (n = 1) and
+// the Plonk verifier's single-proof lhs sit here.
+void BM_G1MsmSmall(benchmark::State& state) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  std::vector<Fr> scalars(n);
+  std::vector<ec::G1> points(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    scalars[i] = rng().random_fr();
+    points[i] = ec::g1_mul_generator(rng().random_fr());
+  }
+  const std::vector<ec::G1Affine> affine =
+      ec::batch_normalize(std::span<const ec::G1>(points));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        ec::msm(scalars, std::span<const ec::G1Affine>(affine)));
+  }
+}
+BENCHMARK(BM_G1MsmSmall)->Arg(1)->Arg(2)->Arg(4)->Arg(7)->Arg(8)->Arg(16);
+
+// One transaction signature: R = k*G with a secret nonce, then the
+// challenge hash over R || pk || msg.
+void BM_SchnorrSign(benchmark::State& state) {
+  crypto::Drbg r(3);
+  const crypto::KeyPair kp = crypto::KeyPair::generate(r);
+  const std::vector<std::uint8_t> msg(64, 7);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crypto::schnorr_sign(kp, msg, r));
+  }
+}
+BENCHMARK(BM_SchnorrSign);
+
+void BM_SchnorrVerify(benchmark::State& state) {
+  crypto::Drbg r(4);
+  const crypto::KeyPair kp = crypto::KeyPair::generate(r);
+  const std::vector<std::uint8_t> msg(64, 7);
+  const crypto::Signature sig = crypto::schnorr_sign(kp, msg, r);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crypto::schnorr_verify(kp.pk, msg, sig));
+  }
+}
+BENCHMARK(BM_SchnorrVerify);
 
 void BM_Ntt(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));

@@ -30,8 +30,9 @@
 # Usage: scripts/ci.sh [--quick] [--skip-tsan]
 #   --quick      lint + analysis + tier-1 + bench smokes (MSM sweep,
 #                chain pipeline, replication, RPC) + a disjoint failover
-#                matrix slice + the e2ebench smoke test + the concurrent
-#                provenance-audit and 32-prover tests under TSan
+#                matrix slice + the socket-link tests under lockdep
+#                (checked build) + the e2ebench smoke test + the
+#                concurrent provenance-audit and 32-prover tests under TSan
 #                (pre-push sanity; minutes, not hours; analysis is
 #                compile-only so it stays in quick)
 #   --skip-tsan  everything except the TSan stages (they are the slowest)
@@ -101,6 +102,13 @@ if [[ "$QUICK" == "1" ]]; then
   # default never visits.
   ZKDET_REPL_MATRIX_HITS="${ZKDET_REPL_MATRIX_HITS:-11-13}" \
     ./build/tests/replication_failover_matrix
+  echo "=== checked: socket-link lock order under lockdep (quick) ==="
+  # Lockdep runs only with ZKDET_CHECKED=ON, so tier-1 cannot see a lock
+  # taken at the level of one already held; the socket link takes both
+  # of its endpoint locks at one level.
+  cmake -B build-checked -S . -DZKDET_CHECKED=ON
+  cmake --build build-checked -j --target zkdet_replication_tests
+  ./build-checked/tests/zkdet_replication_tests --gtest_filter='SocketLink.*'
   echo "=== bench: replication smoke (quick, writes BENCH_repl.json) ==="
   # Ship throughput, cold-follower catch-up lag (WAL vs snapshot) and
   # promotion time; fails on promoted-chain divergence.
@@ -142,9 +150,9 @@ cmake -B build-checked -S . -DZKDET_CHECKED=ON
 cmake --build build-checked -j
 ctest --test-dir build-checked --output-on-failure -j
 
-echo "=== checked: MSM differential suite (affine vs naive) ==="
+echo "=== checked: MSM and constant-time fixed-base differential suites ==="
 ./build-checked/tests/zkdet_math_tests \
-  --gtest_filter='MsmDifferential*:BatchNormalize*:MulCt*:MixedAdd*'
+  --gtest_filter='MsmDifferential*:SmallMsm*:BatchNormalize*:MixedAdd*:LadderOracle*:FixedBaseCt*'
 
 echo "=== chaos: extended seeded fault schedules under -DZKDET_CHECKED=ON ==="
 # Every ctest run above already covers chaos seeds 1..30; this stage

@@ -29,10 +29,12 @@ analysis tooling"):
                            from src/fault/points.hpp, never a raw string
                            literal — the catalog is the single source of
                            truth for the fault surface.
-  vartime-scalar-mul       no variable-time Point::mul() in src/crypto —
-                           secret-scalar paths (keygen, signing nonces,
-                           exchange blinds) must use the constant-time
-                           Point::mul_ct ladder; reviewed public-data
+  vartime-scalar-mul       no variable-time scalar multiplication in
+                           src/crypto: Point::mul(), the fixed-base
+                           g1_/g2_mul_generator() and msm()/msm_g2() —
+                           secret-scalar paths (keygen, signing nonces)
+                           must use the constant-time
+                           ec::g1_mul_generator_ct; reviewed public-data
                            call sites (verification) are annotated.
   direct-chain-call        no direct Chain::call() in src/core — protocol
                            transactions route through txpool::TxPool::call
@@ -264,14 +266,14 @@ RULES = [
         "so the fail-point catalog stays the single source of truth",
     ),
     Rule(
-        # `.mul(` never matches `.mul_ct(` (the paren is required right
-        # after `mul`, modulo whitespace).
+        # The paren must follow the name (modulo whitespace), so the
+        # constant-time `g1_mul_generator_ct(` never matches.
         "vartime-scalar-mul",
-        r"\.mul\s*\(",
+        r"\.mul\s*\(|\b(?:g1|g2)_mul_generator\s*\(|\bmsm(?:_g2)?\s*\(",
         _in(("src/crypto/",)),
         "secret scalars in src/crypto must use the constant-time "
-        "Point::mul_ct ladder; annotate reviewed public-data call sites "
-        "with // zkdet-lint: allow(vartime-scalar-mul)",
+        "ec::g1_mul_generator_ct; annotate reviewed public-data call "
+        "sites with // zkdet-lint: allow(vartime-scalar-mul)",
     ),
     Rule(
         # The protocol layer sends txs through the pool so every tx gets
@@ -555,7 +557,26 @@ SELF_TEST_CASES = [
      'bool fire_slow(const char* p); auto x = fault::fire("self");\n', None),
     ("src/crypto/sig_vartime.cpp", "kp.pk = G1::generator().mul(kp.sk);\n",
      "vartime-scalar-mul"),
-    ("src/crypto/sig_ct_ok.cpp", "kp.pk = G1::generator().mul_ct(kp.sk);\n",
+    ("src/crypto/sig_fixed_base.cpp", "sig.r = ec::g1_mul_generator(k);\n",
+     "vartime-scalar-mul"),
+    ("src/crypto/sig_fixed_base_g2.cpp", "auto q = ec::g2_mul_generator(k);\n",
+     "vartime-scalar-mul"),
+    ("src/crypto/sig_msm.cpp",
+     "const G1 p = ec::msm(std::span<const Fr>(&k, 1), bases);\n",
+     "vartime-scalar-mul"),
+    ("src/crypto/sig_msm_g2.cpp", "auto q = msm_g2(scalars, bases);\n",
+     "vartime-scalar-mul"),
+    ("src/crypto/sig_ct_ok.cpp", "kp.pk = ec::g1_mul_generator_ct(kp.sk);\n",
+     None),
+    ("src/crypto/sig_msm_allow_ok.cpp",
+     "const G1 lhs =\n"
+     "    ec::g1_mul_generator(s) +  // zkdet-lint: allow(vartime-scalar-mul)\n"
+     "    ec::msm(es, pks);  // zkdet-lint: allow(vartime-scalar-mul)\n",
+     None),
+    ("src/crypto/msm_name_ok.cpp",
+     "std::size_t msm_terms = 2; auto w = ec::msm_window_size(n, 64);\n",
+     None),
+    ("src/plonk/msm_scope_ok.cpp", "c.rhs = ec::msm(scalars, bases);\n",
      None),
     ("src/crypto/sig_allow_ok.cpp",
      "return pk.mul(e);  // zkdet-lint: allow(vartime-scalar-mul)\n", None),

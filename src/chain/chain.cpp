@@ -676,7 +676,7 @@ std::array<std::uint8_t, 32> Chain::block_hash(const Block& b) {
 
 void Chain::restore_state(std::vector<Block> blocks,
                           std::map<Address, std::uint64_t> balances,
-                          std::map<Address, crypto::G1> account_keys,
+                          std::map<Address, crypto::G1Affine> account_keys,
                           std::map<Address, RestoredContract> contracts) {
   if (blocks_.size() != 1 || !balances_.empty() || !contracts_.empty() ||
       !account_keys_.empty()) {

@@ -109,7 +109,8 @@ class ChainObserver {
  public:
   virtual ~ChainObserver() = default;
   // create_account happens outside any block; journaled immediately.
-  virtual void on_account_created(const Address& addr, const crypto::G1& pk,
+  virtual void on_account_created(const Address& addr,
+                                  const crypto::G1Affine& pk,
                                   std::uint64_t balance) = 0;
   virtual void on_block_sealed(const Block& block, const StateDelta& delta) = 0;
 };
@@ -437,14 +438,15 @@ class Chain {
   // its persisted address + storage instead of sealing a new block.
   void restore_state(std::vector<Block> blocks,
                      std::map<Address, std::uint64_t> balances,
-                     std::map<Address, crypto::G1> account_keys,
+                     std::map<Address, crypto::G1Affine> account_keys,
                      std::map<Address, RestoredContract> contracts);
 
   // --- snapshot views (ledger state capture; unmetered) ---
   [[nodiscard]] const std::map<Address, std::uint64_t>& balances_map() const {
     return balances_;
   }
-  [[nodiscard]] const std::map<Address, crypto::G1>& account_keys() const {
+  [[nodiscard]] const std::map<Address, crypto::G1Affine>& account_keys()
+      const {
     return account_keys_;
   }
   [[nodiscard]] const std::vector<std::unique_ptr<Contract>>& contracts()
@@ -471,7 +473,7 @@ class Chain {
 
   GasSchedule gas_;
   std::map<Address, std::uint64_t> balances_;
-  std::map<Address, crypto::G1> account_keys_;
+  std::map<Address, crypto::G1Affine> account_keys_;
   // Next expected nonce per sender. The only chain state readable from
   // outside the sequencer thread (TxPool::submit admission-checks it
   // from any producer thread while a batch commits), so it has its own

@@ -62,10 +62,6 @@ std::vector<std::uint8_t> g1_to_bytes(const G1Affine& p) {
   return out;
 }
 
-std::vector<std::uint8_t> g1_to_bytes(const G1& p) {
-  return g1_to_bytes(G1Affine::from_jacobian(p));
-}
-
 namespace {
 
 std::optional<Fp> fp_from_slice(std::span<const std::uint8_t> bytes,

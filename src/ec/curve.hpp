@@ -9,7 +9,8 @@
 //   AffinePoint<Traits>  (x, y) plus an infinity flag — the storage form
 //                        for every point that is made once and then only
 //                        read (SRS powers, fixed-base tables, key
-//                        commitments, proof points). Mixed addition
+//                        commitments, proof points, Schnorr public
+//                        keys and nonce points). Mixed addition
 //                        Point += AffinePoint is ~11 field muls vs ~16
 //                        for Jacobian+Jacobian, and negation is free,
 //                        which is what makes the signed-digit
@@ -41,30 +42,6 @@ using ff::U256;
 
 template <typename Traits>
 struct AffinePoint;
-
-namespace detail {
-
-// Constant-shape conditional swap: mask must be 0 or ~0. Swaps raw
-// Montgomery limbs with masked XOR so the memory-access pattern and
-// instruction stream do not depend on the mask value.
-inline void ct_swap(ff::Fp& a, ff::Fp& b, std::uint64_t mask) {
-  U256 va = a.raw();
-  U256 vb = b.raw();
-  for (std::size_t i = 0; i < 4; ++i) {
-    const std::uint64_t t = mask & (va.limb[i] ^ vb.limb[i]);
-    va.limb[i] ^= t;
-    vb.limb[i] ^= t;
-  }
-  a = ff::Fp::from_raw(va);
-  b = ff::Fp::from_raw(vb);
-}
-
-inline void ct_swap(ff::Fp2& a, ff::Fp2& b, std::uint64_t mask) {
-  ct_swap(a.a, b.a, mask);
-  ct_swap(a.b, b.b, mask);
-}
-
-}  // namespace detail
 
 template <typename Traits>
 struct Point {
@@ -116,6 +93,16 @@ struct Point {
     return Y * z2_2 * o.Z == o.Y * z1_2 * Z;
   }
   bool operator!=(const Point& o) const { return !(*this == o); }
+
+  // Against an affine point, with no inversion: x == X/Z^2 and
+  // y == Y/Z^3 become X == x Z^2 and Y == y Z^3.
+  bool operator==(const AffinePoint<Traits>& o) const {
+    if (is_identity() || o.is_identity()) {
+      return is_identity() && o.is_identity();
+    }
+    const F z2 = Z.square();
+    return X == o.x * z2 && Y == o.y * z2 * Z;
+  }
 
   [[nodiscard]] Point dbl() const {
     if (is_identity()) return *this;
@@ -195,6 +182,9 @@ struct Point {
   }
   [[nodiscard]] Point operator-(const Point& o) const { return *this + (-o); }
 
+  // Variable-time double-and-add, for public scalars only. A secret
+  // multiple of the generator goes through g1_mul_generator_ct
+  // (ec/msm.hpp).
   [[nodiscard]] Point mul(const U256& k) const {
     Point acc = identity();
     for (std::size_t i = k.bit_length(); i-- > 0;) {
@@ -205,41 +195,7 @@ struct Point {
   }
   [[nodiscard]] Point mul(const Fr& k) const { return mul(k.to_canonical()); }
 
-  // Constant-time scalar multiplication for secret scalars (signing
-  // keys, nonces, key-secure-exchange blinds): a Montgomery ladder over
-  // a fixed 256 iterations whose per-bit data flow is two constant-shape
-  // conditional swaps plus one add and one double — the iteration count
-  // and the sequence of group operations are independent of the scalar.
-  // Remaining caveat (documented in DESIGN.md): the group law itself
-  // short-circuits on the identity, so the ladder's leading-zero window
-  // (R0 == identity until the top set bit) is distinguishable; for
-  // uniformly random 254-bit scalars that leaks only the position of the
-  // most significant bit, not its lower bits. Verification and all
-  // public-scalar paths should keep using the faster variable-time mul.
-  [[nodiscard]] Point mul_ct(const U256& k) const {
-    Point r0 = identity();
-    Point r1 = *this;
-    for (std::size_t i = 256; i-- > 0;) {
-      const std::uint64_t bit = (k.limb[i / 64] >> (i % 64)) & 1u;
-      const std::uint64_t mask = ~(bit - 1);  // 0 -> 0, 1 -> ~0
-      ct_swap_points(r0, r1, mask);
-      r1 = r0 + r1;  // ladder invariant: r1 - r0 == *this
-      r0 = r0.dbl();
-      ct_swap_points(r0, r1, mask);
-    }
-    return r0;
-  }
-  [[nodiscard]] Point mul_ct(const Fr& k) const {
-    return mul_ct(k.to_canonical());
-  }
-
  private:
-  static void ct_swap_points(Point& a, Point& b, std::uint64_t mask) {
-    detail::ct_swap(a.X, b.X, mask);
-    detail::ct_swap(a.Y, b.Y, mask);
-    detail::ct_swap(a.Z, b.Z, mask);
-  }
-
   // Mixed addition against the non-identity affine point (ox, oy)
   // (madd-2007-bl): ~11 field muls/squares instead of the ~16 of the
   // full Jacobian add. The inner loop of the affine-base MSM bucket
@@ -380,9 +336,9 @@ inline std::vector<G2Affine> batch_normalize(std::span<const G2> points) {
 }
 
 // 64-byte uncompressed affine serialization of a G1 point (x||y big
-// endian); the identity serializes as all zeros. The Jacobian form pays
-// one inversion; callers with many points batch_normalize them first.
-std::vector<std::uint8_t> g1_to_bytes(const G1& p);
+// endian); the identity serializes as all zeros. A Jacobian point pays
+// an inversion to become affine first, so callers keep points that get
+// serialized affine.
 std::vector<std::uint8_t> g1_to_bytes(const G1Affine& p);
 std::vector<std::uint8_t> g2_to_bytes(const G2& p);
 

@@ -18,8 +18,13 @@ namespace {
 constexpr std::size_t kMsmParallelThreshold = 256;
 
 // Below this size the bucket machinery (digit decomposition, bucket
-// array setup) costs more than naive double-and-add.
-constexpr std::size_t kMsmNaiveThreshold = 8;
+// array setup) costs more than Straus' shared doubling chain.
+constexpr std::size_t kMsmStrausThreshold = 8;
+
+// w-NAF width of the small-term kernel; each term's table holds the odd
+// multiples P, 3P, ..., (2^(w-1) - 1) P.
+constexpr std::size_t kWnafWidth = 5;
+constexpr std::size_t kWnafTableSize = std::size_t{1} << (kWnafWidth - 2);
 
 // Pending bucket adds that share one inversion: at most 256, and at most
 // half the window's buckets, so a batch can fill before most bases find
@@ -315,7 +320,108 @@ Point<typename Bases::Traits> pippenger(const Bases& bases, std::size_t terms,
   return result;
 }
 
-// The one bucket MSM entry. G1 splits every scalar by GLV, k P =
+// w-NAF digits of (negate ? -k : k), least significant first, into
+// out[0, len): every nonzero digit is odd with |d| < 2^(w-1), and a
+// nonzero digit is followed by at least w - 1 zeros. k < 2^(len - 1)
+// fits. Returns the count of digits up to the top nonzero one, so a
+// short scalar runs a short chain. Variable-time: the digits follow k.
+std::size_t wnaf(U256 k, bool negate, std::int8_t* out, std::size_t len) {
+  constexpr std::int64_t kFull = std::int64_t{1} << kWnafWidth;
+  std::size_t used = 0;
+  for (std::size_t i = 0; i < len; ++i) {
+    std::int64_t d = 0;
+    if ((k.limb[0] & 1) != 0) {
+      d = static_cast<std::int64_t>(k.limb[0] & (kFull - 1));
+      if (d >= kFull / 2) d -= kFull;
+      // k < 2^254, so k - d neither borrows nor carries out.
+      if (d > 0) {
+        u256_sub(k, k, U256{static_cast<std::uint64_t>(d)});
+      } else {
+        u256_add(k, k, U256{static_cast<std::uint64_t>(-d)});
+      }
+      used = i + 1;
+    }
+    out[i] = static_cast<std::int8_t>(  // zkdet-lint: allow(narrowing-cast) |d| < 16
+        negate ? -d : d);
+    for (std::size_t l = 0; l < 3; ++l) {
+      k.limb[l] = (k.limb[l] >> 1) | (k.limb[l + 1] << 63);
+    }
+    k.limb[3] >>= 1;
+  }
+  ZKDET_CHECK(k.is_zero(), "wnaf: scalar wider than the digit buffer");
+  return used;
+}
+
+// One term of the small-term kernel: the odd multiples of its base and
+// the w-NAF digits of its scalar.
+template <typename Traits>
+struct StrausTerm {
+  std::array<Point<Traits>, kWnafTableSize> odd;  // P, 3P, 5P, ...
+  std::array<std::int8_t, kScalarBits + 1> digits{};
+};
+
+template <typename Traits>
+void odd_multiples(const Point<Traits>& p,
+                   std::array<Point<Traits>, kWnafTableSize>& odd) {
+  const Point<Traits> twice = p.dbl();
+  odd[0] = p;
+  for (std::size_t j = 1; j < kWnafTableSize; ++j) odd[j] = odd[j - 1] + twice;
+}
+
+// The small-term kernel (Straus): all terms share one doubling chain,
+// and each adds its table entry at its nonzero digits. G1 splits every
+// scalar by GLV into two 128-bit halves against P and phi(P), whose
+// table is the P table with X scaled by beta (phi commutes with the
+// Jacobian quotient); the chain then runs at most 129 steps instead of
+// 255. G2 keeps the full scalars. The tables stay Jacobian: one batch inversion
+// to make them affine would cost more than the mixed adds it saves at
+// these sizes. Zero scalars and identity bases drop out.
+template <typename Traits>
+Point<Traits> msm_straus(std::span<const Fr> scalars,
+                         std::span<const AffinePoint<Traits>> points) {
+  using P = Point<Traits>;
+  constexpr bool kGlv = std::is_same_v<Traits, G1Traits>;
+  constexpr std::size_t kDigits = (kGlv ? kGlvScalarBits : kScalarBits) + 1;
+  std::vector<StrausTerm<Traits>> terms;
+  terms.reserve(kGlv ? 2 * scalars.size() : scalars.size());
+  std::size_t top = 0;  // the chain's length: the longest digit string
+  for (std::size_t i = 0; i < scalars.size(); ++i) {
+    if (scalars[i].is_zero() || points[i].is_identity()) continue;
+    const U256 k = scalars[i].to_canonical();
+    const std::size_t at = terms.size();
+    terms.emplace_back();
+    odd_multiples(points[i].to_jacobian(), terms[at].odd);
+    if constexpr (kGlv) {
+      const GlvSplit s = glv_split(k);
+      terms.emplace_back();
+      const ff::Fp& beta = glv_beta();
+      for (std::size_t j = 0; j < kWnafTableSize; ++j) {
+        const P& q = terms[at].odd[j];
+        terms[at + 1].odd[j] = P{beta * q.X, q.Y, q.Z};
+      }
+      top = std::max({top, wnaf(s.k1, s.neg1, terms[at].digits.data(), kDigits),
+                      wnaf(s.k2, s.neg2, terms[at + 1].digits.data(), kDigits)});
+    } else {
+      top = std::max(top, wnaf(k, false, terms[at].digits.data(), kDigits));
+    }
+  }
+  P acc = P::identity();
+  for (std::size_t j = top; j-- > 0;) {
+    acc = acc.dbl();
+    for (const StrausTerm<Traits>& t : terms) {
+      const std::int8_t d = t.digits[j];
+      if (d > 0) {
+        acc += t.odd[static_cast<std::size_t>(d) / 2];
+      } else if (d < 0) {
+        acc = acc - t.odd[static_cast<std::size_t>(-d) / 2];
+      }
+    }
+  }
+  return acc;
+}
+
+// The one MSM entry: Straus below kMsmStrausThreshold terms, the bucket
+// method from there. G1 splits every scalar by GLV, k P =
 // k1 P + k2 phi(P), and runs the engine on 2n bases with 128-bit
 // half-scalars; a negative half negates its digits, which the engine
 // applies as the free affine negation. G2 runs the engine on the full
@@ -328,13 +434,7 @@ Point<Traits> msm_affine_impl(std::span<const Fr> scalars,
               "msm: scalar/point count mismatch");
   const std::size_t n = scalars.size();
   if (n == 0) return P::identity();
-  if (n < kMsmNaiveThreshold) {
-    P acc = P::identity();
-    for (std::size_t i = 0; i < n; ++i) {
-      acc += points[i].to_jacobian().mul(scalars[i]);
-    }
-    return acc;
-  }
+  if (n < kMsmStrausThreshold) return msm_straus<Traits>(scalars, points);
   runtime::ScopedTimer timer(runtime::counters::msm_ns);
 
   if constexpr (std::is_same_v<Traits, G1Traits>) {

@@ -49,8 +49,10 @@ std::size_t msm_window_size(std::size_t n, std::size_t point_bytes,
                             std::size_t scalar_bits = kScalarBits);
 
 // sum_i scalars[i] * points[i]; sizes must match. The affine overloads
-// are the one implementation; below 8 terms it is plain double-and-add,
-// above it the bucket method. The Jacobian-input overloads
+// are the one implementation. Below 8 terms it is Straus' method: w-NAF
+// digits (GLV halves for G1) against per-call odd-multiple tables, with
+// one doubling chain shared by every term. From 8 terms it is the
+// bucket method. Both are variable-time. The Jacobian-input overloads
 // batch-normalize (one inversion) and call it. Long-lived bases are
 // stored affine (cf. plonk::Srs::g1_powers). The naive reference the
 // tests check against lives in tests/oracles/msm.hpp.
@@ -61,8 +63,19 @@ G2 msm_g2(std::span<const Fr> scalars, std::span<const G2Affine> points);
 
 // Windowed fixed-base multiplication of the group generator (affine
 // tables are built once per process); used by SRS generation and
-// Groth16 setup where thousands of generator multiples are needed.
+// Groth16 setup where thousands of generator multiples are needed, and
+// by Schnorr verification. Variable-time: public scalars only.
 G1 g1_mul_generator(const Fr& k);
 G2 g2_mul_generator(const Fr& k);
+
+// Constant-time k * G for a secret k (Schnorr keys and nonces), affine,
+// since every such product is stored or hashed affine. A fixed window of
+// odd signed digits, none of them zero, over a 52 KiB affine table of
+// G: every window reads each of its entries through a masked select and
+// adds the result by complete formulas (Renes, Costello and Batina,
+// eprint 2015/1060), so the sequence of operations and memory accesses
+// is the same for every k. The only data-dependent branch is whether the
+// result is the identity, that is whether k is zero.
+G1Affine g1_mul_generator_ct(const Fr& k);
 
 }  // namespace zkdet::ec

@@ -54,7 +54,7 @@ void Writer::fr(const ff::Fr& v) {
   buf_.insert(buf_.end(), b.begin(), b.end());
 }
 
-void Writer::g1(const crypto::G1& p) {
+void Writer::g1(const crypto::G1Affine& p) {
   const auto b = ec::g1_to_bytes(p);
   if (b.size() > 0xFFFFFFFFull) throw CodecError("point encoding too long");
   u32(static_cast<std::uint32_t>(b.size()));
@@ -114,12 +114,12 @@ ff::Fr Reader::fr() {
   return ff::Fr::from_canonical(v);
 }
 
-crypto::G1 Reader::g1() {
+crypto::G1Affine Reader::g1() {
   const std::uint32_t len = u32();
   const auto s = take(len);
   const auto p = ec::g1_from_bytes(s);
   if (!p) throw CodecError("invalid curve point");
-  return p->to_jacobian();
+  return *p;
 }
 
 void Reader::check_count(std::uint64_t count,

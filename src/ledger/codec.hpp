@@ -52,7 +52,7 @@ class Writer {
   // 32-byte canonical (non-Montgomery) little-endian representation.
   void fr(const ff::Fr& v);
   // u32 length prefix + the curve serialization from ec/curve.hpp.
-  void g1(const crypto::G1& p);
+  void g1(const crypto::G1Affine& p);
 
   [[nodiscard]] std::vector<std::uint8_t> take() { return std::move(buf_); }
   [[nodiscard]] std::size_t size() const { return buf_.size(); }
@@ -76,7 +76,7 @@ class Reader {
   [[nodiscard]] std::string str();
   [[nodiscard]] std::array<std::uint8_t, 32> hash32();
   [[nodiscard]] ff::Fr fr();
-  [[nodiscard]] crypto::G1 g1();
+  [[nodiscard]] crypto::G1Affine g1();
 
   [[nodiscard]] std::size_t remaining() const { return data_.size() - pos_; }
   // Top-level decoders call this to reject trailing garbage.
@@ -125,7 +125,7 @@ void write_delta(Writer& w, const chain::StateDelta& d);
 struct ChainSnapshot {
   std::vector<chain::Block> blocks;
   std::map<chain::Address, std::uint64_t> balances;
-  std::map<chain::Address, crypto::G1> account_keys;
+  std::map<chain::Address, crypto::G1Affine> account_keys;
   std::map<chain::Address, chain::RestoredContract> contracts;
   std::uint64_t wal_seq = 0;
 };

@@ -19,7 +19,7 @@ namespace {
 // makes reopen O(suffix)); everything recovered from the WAL is not.
 void verify_replayed_signatures(
     const std::vector<const chain::TxRecord*>& txs,
-    const std::map<chain::Address, crypto::G1>& account_keys) {
+    const std::map<chain::Address, crypto::G1Affine>& account_keys) {
   std::atomic<std::size_t> bad{txs.size()};  // first failing index
   runtime::parallel_for(txs.size(), [&](std::size_t b, std::size_t e) {
     for (std::size_t i = b; i < e; ++i) {
@@ -130,7 +130,8 @@ void Ledger::append_record(std::uint8_t type,
 }
 
 void Ledger::on_account_created(const chain::Address& addr,
-                                const crypto::G1& pk, std::uint64_t balance) {
+                                const crypto::G1Affine& pk,
+                                std::uint64_t balance) {
   const MutexLock lk(io_mu_);
   append_record(kRecordAccount, [&](Writer& w) {
     w.str(addr);

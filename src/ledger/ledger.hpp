@@ -72,7 +72,8 @@ class Ledger : public chain::ChainObserver {
   Ledger& operator=(const Ledger&) = delete;
 
   // ChainObserver (called by Chain; not for direct use).
-  void on_account_created(const chain::Address& addr, const crypto::G1& pk,
+  void on_account_created(const chain::Address& addr,
+                          const crypto::G1Affine& pk,
                           std::uint64_t balance) override;
   void on_block_sealed(const chain::Block& block,
                        const chain::StateDelta& delta) override;

@@ -44,7 +44,7 @@ inline constexpr const char* kSnapshotTmpFile = "snapshot.tmp";
 struct ReplayImage {
   std::vector<chain::Block> blocks;
   std::map<chain::Address, std::uint64_t> balances;
-  std::map<chain::Address, crypto::G1> account_keys;
+  std::map<chain::Address, crypto::G1Affine> account_keys;
   std::map<chain::Address, chain::RestoredContract> contracts;
   // Last WAL sequence folded into this image.
   std::uint64_t seq = 0;

@@ -731,7 +731,8 @@ std::optional<DeferredCheck> defer_check(const VerifyingKey& vk,
 // MSM.
 PairingCheck evaluate(const DeferredCheck& d) {
   PairingCheck c;
-  c.lhs = d.lhs[1].base.to_jacobian().mul(d.lhs[1].scalar);
+  c.lhs = ec::msm(std::span<const Fr>(&d.lhs[1].scalar, 1),
+                  std::span<const G1Affine>(&d.lhs[1].base, 1));
   c.lhs += d.lhs[0].base;  // scalar one
   std::array<Fr, 18> scalars;
   std::array<G1Affine, 18> bases;

@@ -12,8 +12,11 @@ namespace zkdet::replication {
 namespace sockio = rpc::sockio;
 
 SocketLink::SocketLink(sockio::Fd primary_end, sockio::Fd follower_end) {
-  const MutexLock lp(primary_.mu);
-  primary_.fd = std::move(primary_end);
+  // One endpoint lock at a time: both sit at LockLevel::kReplLink.
+  {
+    const MutexLock lp(primary_.mu);
+    primary_.fd = std::move(primary_end);
+  }
   const MutexLock lf(follower_.mu);
   follower_.fd = std::move(follower_end);
 }

@@ -5,6 +5,8 @@
 #include "crypto/rng.hpp"
 #include "crypto/schnorr.hpp"
 #include "crypto/sha256.hpp"
+#include "oracles/ladder.hpp"
+#include "oracles/schnorr.hpp"
 
 namespace zkdet::crypto {
 namespace {
@@ -212,14 +214,114 @@ TEST(PoseidonCommitment, HidingBlindersChangeCommitment) {
 
 // --- Schnorr ---
 
-TEST(Schnorr, ConstantTimeLadderMatchesKeyDerivation) {
-  // Keygen/signing now use the constant-time ladder; the public key it
-  // derives must be the same group element the variable-time path
-  // computes, so signatures interoperate across both.
+TEST(Schnorr, ConstantTimeKeyDerivationMatchesLadderAndVartime) {
+  // Keygen and signing use the constant-time fixed-base path; the public
+  // key it derives must be the group element the Montgomery-ladder
+  // oracle and the variable-time path compute.
   Drbg rng(77);
   const KeyPair kp = KeyPair::generate(rng);
-  EXPECT_EQ(kp.pk, ec::G1::generator().mul(kp.sk));
-  EXPECT_EQ(kp.pk, ec::G1::generator().mul_ct(kp.sk));
+  EXPECT_EQ(ec::G1::generator().mul(kp.sk), kp.pk);
+  EXPECT_EQ(oracle::mul_ladder(ec::G1::generator(), kp.sk), kp.pk);
+}
+
+// Signatures from fixed seeds, recorded when signing still ran the
+// Montgomery ladder. R = k*G is the same group element on every
+// constant-time path, so keys, signatures and addresses must stay
+// byte-identical, and with them every block and WAL byte.
+TEST(Schnorr, GoldenSignaturesFromFixedSeeds) {
+  Sha256 all;
+  for (std::uint64_t seed = 0; seed < 16; ++seed) {
+    Drbg rng("schnorr-golden", seed);
+    const KeyPair kp = KeyPair::generate(rng);
+    for (std::uint8_t m = 0; m < 4; ++m) {
+      const std::vector<std::uint8_t> msg(
+          m * 7u, static_cast<std::uint8_t>(seed + m));
+      const Signature sig = schnorr_sign(kp, msg, rng);
+      EXPECT_TRUE(schnorr_verify(kp.pk, msg, sig)) << seed << "/" << int{m};
+      const auto pb = ec::g1_to_bytes(kp.pk);
+      const auto rb = ec::g1_to_bytes(sig.r);
+      const auto sb = ff::u256_to_bytes(sig.s.to_canonical());
+      all.update(pb);
+      all.update(rb);
+      all.update(sb);
+      if (seed == 1 && m == 1) {
+        EXPECT_EQ(hex_encode(pb),
+                  "156250cb3e6c1d5224509d163550117e9abd97e3886a23c9cee9a2fcaa8e"
+                  "50ad0d6f936b0da5c7257c422f23db36aeb73e203d48d714142032105fe6"
+                  "cdbf002b");
+        EXPECT_EQ(hex_encode(rb),
+                  "170e4e9e88ae8a6f15f54c490597386326cc040ad12a8be0d5365c9a5376"
+                  "80fa28edb0b58862e23626eee28a493b103eb7ef532bfd5983b2b137129c"
+                  "72eeaa87");
+        EXPECT_EQ(hex_encode(sb),
+                  "0525d638eeb973f77d52851462f956c69c002472a4645e30ddac7e55a67a"
+                  "dd5f");
+        EXPECT_EQ(address_of(kp.pk),
+                  "0x72bdbd4fcbc8c2bda1d8542df732883b66fc810d");
+      }
+    }
+  }
+  EXPECT_EQ(hex_encode(all.finalize()),
+            "42028770cb96bb5da2ff6ce3fc1d2bd0a4165b2be175a1238f6af9e3c0694c70");
+}
+
+// The verifier against the double-and-add verifier it replaced
+// (tests/oracles/schnorr.hpp), with the verdict each case must reach.
+TEST(Schnorr, VerdictsMatchDoubleAndAddOracle) {
+  const auto check = [](const G1Affine& pk, const std::vector<std::uint8_t>& msg,
+                        const Signature& sig, bool expected,
+                        const char* what) {
+    EXPECT_EQ(schnorr_verify(pk, msg, sig), expected) << what;
+    EXPECT_EQ(oracle::schnorr_verify_naive(pk.to_jacobian(), msg,
+                                           sig.r.to_jacobian(), sig.s),
+              expected)
+        << what << " (oracle)";
+  };
+  for (std::uint64_t seed = 0; seed < 8; ++seed) {
+    Drbg rng("schnorr-verdicts", seed);
+    const KeyPair kp = KeyPair::generate(rng);
+    const KeyPair other = KeyPair::generate(rng);
+    const std::vector<std::uint8_t> msg(seed * 5, 0xA5);
+    const Signature sig = schnorr_sign(kp, msg, rng);
+    check(kp.pk, msg, sig, true, "valid");
+
+    Signature bad_s = sig;
+    bad_s.s += Fr::one();
+    check(kp.pk, msg, bad_s, false, "tampered s");
+
+    Signature bad_r = sig;
+    bad_r.r = G1Affine::from_jacobian(sig.r.to_jacobian() + G1::generator());
+    check(kp.pk, msg, bad_r, false, "tampered R");
+
+    Signature zero_r = sig;
+    zero_r.r = G1Affine::identity();
+    check(kp.pk, msg, zero_r, false, "R = identity, s of another nonce");
+
+    check(other.pk, msg, sig, false, "wrong key");
+    check(G1Affine::identity(), msg, sig, false, "identity key");
+
+    std::vector<std::uint8_t> other_msg = msg;
+    other_msg.push_back(1);
+    check(kp.pk, other_msg, sig, false, "tampered message");
+  }
+}
+
+// A nonce of zero gives R = identity, and s = e*sk then satisfies the
+// verification equation; both verifiers accept it alike.
+TEST(Schnorr, IdentityNonceVerdictMatchesOracle) {
+  Drbg rng(78);
+  const KeyPair kp = KeyPair::generate(rng);
+  const std::vector<std::uint8_t> msg{9, 9};
+  Sha256 h;
+  h.update(std::string("zkdet-schnorr"));
+  h.update(ec::g1_to_bytes(G1Affine::identity()));
+  h.update(ec::g1_to_bytes(kp.pk));
+  h.update(msg);
+  const Fr e = Fr::reduce_from(ff::u256_from_bytes(h.finalize()));
+  const Signature sig{G1Affine::identity(), e * kp.sk};
+  EXPECT_TRUE(schnorr_verify(kp.pk, msg, sig));
+  EXPECT_TRUE(oracle::schnorr_verify_naive(kp.pk.to_jacobian(), msg,
+                                           G1::identity(), sig.s));
 }
 
 TEST(Schnorr, SignVerify) {
@@ -256,7 +358,8 @@ TEST(Schnorr, RejectsTamperedSignature) {
   sig.s += Fr::one();
   EXPECT_FALSE(schnorr_verify(kp.pk, msg, sig));
   Signature sig2 = schnorr_sign(kp, msg, rng);
-  sig2.r = sig2.r + ec::G1::generator();
+  sig2.r = ec::G1Affine::from_jacobian(sig2.r.to_jacobian() +
+                                       ec::G1::generator());
   EXPECT_FALSE(schnorr_verify(kp.pk, msg, sig2));
 }
 
@@ -265,7 +368,7 @@ TEST(Schnorr, RejectsIdentityKey) {
   const KeyPair kp = KeyPair::generate(rng);
   const std::vector<std::uint8_t> msg{42};
   const Signature sig = schnorr_sign(kp, msg, rng);
-  EXPECT_FALSE(schnorr_verify(ec::G1::identity(), msg, sig));
+  EXPECT_FALSE(schnorr_verify(ec::G1Affine::identity(), msg, sig));
 }
 
 TEST(Schnorr, AddressFormat) {

@@ -7,7 +7,9 @@
 // naive/parallel and Jacobian/batch-affine bucket thresholds, doublings
 // and cancellations inside a batch). Also covers the parallel cut,
 // batch normalization with identities, mixed (Jacobian + affine)
-// addition, the constant-time ladder, and the bucket-memory window cap.
+// addition, the constant-time fixed-base path against the Montgomery
+// ladder (tests/oracles/ladder.hpp), the small-term Straus kernel, and
+// the bucket-memory window cap.
 #include <gtest/gtest.h>
 
 #include <initializer_list>
@@ -16,6 +18,7 @@
 
 #include "ec/glv.hpp"
 #include "ec/msm.hpp"
+#include "oracles/ladder.hpp"
 #include "oracles/msm.hpp"
 #include "runtime/stats.hpp"
 #include "runtime/thread_pool.hpp"
@@ -79,7 +82,7 @@ template <typename Api>
 void run_edge_suite(std::uint64_t seed,
                     std::initializer_list<std::size_t> large_sizes) {
   std::mt19937_64 rng(seed);
-  // Sizes straddle the dispatch thresholds: n < 8 runs naive, n >= 256
+  // Sizes straddle the dispatch thresholds: n < 8 runs Straus, n >= 256
   // distributes windows over the thread pool, and the large sizes
   // straddle the cut where the window grows to 256 buckets and
   // full-width windows switch to batch-affine buckets.
@@ -394,36 +397,140 @@ TEST(MixedAdd, DoublingIdentityAndNegation) {
   EXPECT_EQ((-pa).to_jacobian() + pa, G1::identity());
 }
 
-// --- constant-time scalar multiplication -----------------------------
+// --- the Montgomery-ladder oracle ----------------------------------
 
-TEST(MulCt, G1MatchesVariableTime) {
+TEST(LadderOracle, G1MatchesVariableTime) {
   std::mt19937_64 rng(31);
   const G1 base = g1_mul_generator(random_field<Fr>(rng));
   for (const Fr& k : {Fr::zero(), Fr::one(), r_minus_one()}) {
-    EXPECT_EQ(base.mul_ct(k), base.mul(k));
+    EXPECT_EQ(oracle::mul_ladder(base, k), base.mul(k));
   }
   for (int i = 0; i < 10; ++i) {
     const Fr k = random_field<Fr>(rng);
-    EXPECT_EQ(base.mul_ct(k), base.mul(k));
-    EXPECT_EQ(G1::generator().mul_ct(k), g1_mul_generator(k));
+    EXPECT_EQ(oracle::mul_ladder(base, k), base.mul(k));
+    EXPECT_EQ(oracle::mul_ladder(G1::generator(), k), g1_mul_generator(k));
   }
 }
 
-TEST(MulCt, G2MatchesVariableTime) {
+TEST(LadderOracle, G2MatchesVariableTime) {
   std::mt19937_64 rng(32);
   const G2 base = g2_mul_generator(random_field<Fr>(rng));
   for (const Fr& k : {Fr::zero(), Fr::one(), r_minus_one()}) {
-    EXPECT_EQ(base.mul_ct(k), base.mul(k));
+    EXPECT_EQ(oracle::mul_ladder(base, k), base.mul(k));
   }
   for (int i = 0; i < 5; ++i) {
     const Fr k = random_field<Fr>(rng);
-    EXPECT_EQ(base.mul_ct(k), base.mul(k));
+    EXPECT_EQ(oracle::mul_ladder(base, k), base.mul(k));
   }
 }
 
-TEST(MulCt, IdentityBase) {
-  EXPECT_EQ(G1::identity().mul_ct(Fr::one()), G1::identity());
-  EXPECT_EQ(G1::identity().mul_ct(r_minus_one()), G1::identity());
+TEST(LadderOracle, IdentityBase) {
+  EXPECT_EQ(oracle::mul_ladder(G1::identity(), Fr::one()), G1::identity());
+  EXPECT_EQ(oracle::mul_ladder(G1::identity(), r_minus_one()),
+            G1::identity());
+}
+
+// --- constant-time fixed-base multiplication -------------------------
+
+void expect_ct_matches_ladder(const Fr& k) {
+  const G1Affine got = g1_mul_generator_ct(k);
+  EXPECT_TRUE(got.on_curve()) << u256_to_hex(k.to_canonical());
+  EXPECT_EQ(oracle::mul_ladder(G1::generator(), k), got)
+      << u256_to_hex(k.to_canonical());
+}
+
+// The scalars where a recoding breaks first: zero (the only identity
+// result), the smallest odd and even ones, r - 1 (even, so it runs as
+// r - (r - 1) = 1 negated), the powers of two at the GLV half width and
+// at the top bit, and the GLV eigenvalue both ways round.
+TEST(FixedBaseCt, EdgeScalarsMatchLadder) {
+  EXPECT_TRUE(g1_mul_generator_ct(Fr::zero()).is_identity());
+  for (const Fr& k : {Fr::zero(), Fr::one(), Fr::from_u64(2), r_minus_one(),
+                      r_minus_one() - Fr::one(), pow2(127), pow2(253),
+                      glv_lambda(), -glv_lambda()}) {
+    expect_ct_matches_ladder(k);
+  }
+  // Every window's digits reach both ends of the table: the all-ones
+  // and alternating bit patterns below r.
+  const std::uint64_t fills[] = {~std::uint64_t{0}, 0x5555555555555555,
+                                 0xAAAAAAAAAAAAAAAA};
+  for (const std::uint64_t fill : fills) {
+    expect_ct_matches_ladder(Fr::from_canonical(
+        U256{fill, fill, fill, fill & 0x0FFFFFFFFFFFFFFF}));
+  }
+}
+
+TEST(FixedBaseCt, RandomScalarsMatchLadder) {
+  std::mt19937_64 rng(33);
+  for (int i = 0; i < 10000; ++i) expect_ct_matches_ladder(random_field<Fr>(rng));
+}
+
+// --- the small-term (Straus) kernel ------------------------------------
+
+// n = 1..16 against the naive oracle, through the kernel below 8 terms
+// and the bucket method from 8: zero scalars, identity bases, scalars
+// much shorter than the chain, a repeated base, and P beside -P with
+// equal and with unrelated scalars.
+template <typename Api>
+void run_small_suite(std::uint64_t seed) {
+  using Jac = typename Api::Jac;
+  std::mt19937_64 rng(seed);
+  for (std::size_t n = 1; n <= 16; ++n) {
+    for (int variant = 0; variant < 4; ++variant) {
+      std::vector<Fr> scalars(n);
+      std::vector<Jac> points(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        scalars[i] = random_field<Fr>(rng);
+        points[i] = Api::gen_mul(random_field<Fr>(rng));
+      }
+      switch (variant) {
+        case 0:  // random terms
+          break;
+        case 1:  // zero scalars, identity bases, short scalars
+          scalars[0] = Fr::zero();
+          if (n >= 4) scalars[3] = Fr::one();
+          if (n >= 5) scalars[4] = Fr::from_u64(77);
+          if (n >= 2) points[1] = Jac::identity();
+          if (n >= 3) {
+            scalars[2] = Fr::zero();
+            points[2] = Jac::identity();
+          }
+          break;
+        case 2:  // repeated base, P beside -P with equal scalars
+          if (n >= 2) points[n - 1] = points[0];
+          if (n >= 4) {
+            points[2] = -points[1];
+            scalars[2] = scalars[1];
+          }
+          break;
+        case 3:  // P beside -P, unrelated scalars; GLV edges
+          if (n >= 2) points[1] = -points[0];
+          scalars[0] = n % 2 == 0 ? glv_lambda() : r_minus_one();
+          if (n >= 3) scalars[2] = -glv_lambda();
+          break;
+      }
+      check_all_paths<Api>(scalars, points,
+                           ("n=" + std::to_string(n) + " variant=" +
+                            std::to_string(variant))
+                               .c_str());
+    }
+  }
+}
+
+TEST(SmallMsm, G1MatchesNaive) { run_small_suite<G1Api>(41); }
+TEST(SmallMsm, G2MatchesNaive) { run_small_suite<G2Api>(42); }
+
+// Terms that cancel exactly must give the identity.
+TEST(SmallMsm, CancellingTermsGiveIdentity) {
+  std::mt19937_64 rng(43);
+  const G1 p = g1_mul_generator(random_field<Fr>(rng));
+  const Fr k = random_field<Fr>(rng);
+  const std::vector<Fr> scalars{k, k, -k - k};
+  const std::vector<G1> points{p, p, p};
+  EXPECT_TRUE(msm(scalars, points).is_identity());
+  const std::vector<Fr> two{k, k};
+  const std::vector<G1> opposite{p, -p};
+  EXPECT_TRUE(msm(two, opposite).is_identity());
 }
 
 }  // namespace

@@ -74,7 +74,7 @@ TEST(PairingNegative, HonestInputsStillAccepted) {
 // --- proof deserialization ----------------------------------------------
 
 TEST(DeserializationNegative, OffCurveG1BytesRejected) {
-  auto bytes = ec::g1_to_bytes(G1::generator());
+  auto bytes = ec::g1_to_bytes(ec::G1Affine::generator());
   bytes[63] ^= 1;  // perturb y: leaves the curve (or goes non-canonical)
   EXPECT_FALSE(ec::g1_from_bytes(bytes).has_value());
 }

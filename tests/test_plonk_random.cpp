@@ -152,7 +152,7 @@ TEST(PlonkEdgeCases, PointSerializationRejectsOffCurve) {
   const auto id = ec::g1_from_bytes(std::vector<std::uint8_t>(64, 0));
   ASSERT_TRUE(id);
   EXPECT_TRUE(id->is_identity());
-  const auto gen = ec::g1_from_bytes(ec::g1_to_bytes(ec::G1::generator()));
+  const auto gen = ec::g1_from_bytes(ec::g1_to_bytes(ec::G1Affine::generator()));
   ASSERT_TRUE(gen);
   EXPECT_EQ(*gen, ec::G1Affine::generator());
   const auto gen2 = ec::g2_from_bytes(ec::g2_to_bytes(ec::G2::generator()));
